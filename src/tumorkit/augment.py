@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import BadConfig
 from .pgm import GrayImage8
 from .rng import Rng
 
@@ -47,13 +48,16 @@ class AugmentConfig:
 
     def __post_init__(self):
         if self.max_rotation_deg < 0:
-            raise ValueError("max_rotation_deg must be >= 0")
+            raise BadConfig(f"max_rotation_deg must be >= 0, got {self.max_rotation_deg}")
         if not 0 <= self.shift_fraction < 1:
-            raise ValueError("shift_fraction must be in [0, 1)")
+            raise BadConfig(f"shift_fraction must be in [0, 1), got {self.shift_fraction}")
         if not 0 < self.brightness_lo <= self.brightness_hi:
-            raise ValueError("need 0 < brightness_lo <= brightness_hi")
+            raise BadConfig(
+                f"need 0 < brightness_lo <= brightness_hi, got {self.brightness_lo}"
+                f" and {self.brightness_hi}"
+            )
         if self.shear_rad < 0:
-            raise ValueError("shear_rad must be >= 0")
+            raise BadConfig(f"shear_rad must be >= 0, got {self.shear_rad}")
 
 
 @dataclass(frozen=True)

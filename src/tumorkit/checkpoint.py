@@ -8,11 +8,18 @@ Layout, all little-endian:
     trailer: u32 CRC-32 of every preceding byte
 
 Tensors are stored in insertion order and parsed back in file order, so
-save -> load -> save reproduces the original bytes exactly.
+save -> load -> save reproduces the original bytes exactly.  Writing
+streams each header piece and tensor buffer once, with a running CRC;
+parsing reads through a memoryview, so neither side copies the payload
+more than the one copy each returned tensor owns.  Files are written to
+a temporary sibling and moved into place, so a failed save leaves the
+previous file intact.
 """
 
 from __future__ import annotations
 
+import io
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -35,37 +42,66 @@ VERSION = 1
 EXTENSION = ".nnck"
 
 
-def dump_weights(table: Mapping[str, np.ndarray]) -> bytes:
-    """Serialize a name -> tensor table to checkpoint bytes."""
-    parts = [MAGIC, struct.pack("<II", VERSION, len(table))]
+def _write_weights(table: Mapping[str, np.ndarray], write) -> None:
+    """Stream a name -> tensor table to ``write``, CRC trailer last."""
+    crc = 0
+
+    def put(chunk) -> None:
+        nonlocal crc
+        crc = zlib.crc32(chunk, crc)
+        write(chunk)
+
+    put(MAGIC + struct.pack("<II", VERSION, len(table)))
     for name, tensor in table.items():
         encoded = name.encode("utf-8")
         if len(encoded) > 0xFFFF:
             raise ValueError(f"tensor name too long: {name[:40]}...")
-        # asarray, not ascontiguousarray: the latter silently promotes
-        # 0-d tensors to 1-d, and tobytes() already emits C order
+        # the header takes the shape from asarray, because ascontiguousarray
+        # may promote a 0-d tensor to 1-d; the payload is the same bytes
         data = np.asarray(tensor, dtype="<f4")
-        parts.append(struct.pack("<H", len(encoded)))
-        parts.append(encoded)
-        parts.append(struct.pack("<B", data.ndim))
-        parts.append(struct.pack(f"<{data.ndim}I", *data.shape))
-        parts.append(data.tobytes())
-    body = b"".join(parts)
-    return body + struct.pack("<I", zlib.crc32(body))
+        put(struct.pack(f"<H{len(encoded)}sB{data.ndim}I",
+                        len(encoded), encoded, data.ndim, *data.shape))
+        put(np.ascontiguousarray(data))
+    write(struct.pack("<I", crc))
+
+
+def dump_weights(table: Mapping[str, np.ndarray]) -> bytes:
+    """Serialize a name -> tensor table to checkpoint bytes."""
+    out = io.BytesIO()
+    _write_weights(table, out.write)
+    return out.getvalue()
+
+
+def save_weights(table: Mapping[str, np.ndarray], path: str | Path) -> None:
+    """Write a name -> tensor table to ``path`` atomically.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces ``path``; if anything fails first, the temporary file is
+    removed and whatever was at ``path`` is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as handle:
+            _write_weights(table, handle.write)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class _Cursor:
     """Sequential reader that converts overruns into Truncated."""
 
-    def __init__(self, data: bytes, limit: int):
-        self.data = data
+    def __init__(self, view: memoryview, limit: int):
+        self.view = view
         self.pos = 0
         self.limit = limit
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > self.limit:
             raise Truncated(f"needed {n} bytes at offset {self.pos}, have {self.limit - self.pos}")
-        chunk = self.data[self.pos : self.pos + n]
+        chunk = self.view[self.pos : self.pos + n]
         self.pos += n
         return chunk
 
@@ -79,28 +115,31 @@ class _Cursor:
         return struct.unpack("<I", self.take(4))[0]
 
 
-def parse_weights(data: bytes) -> dict[str, np.ndarray]:
+def parse_weights(data: bytes | bytearray | memoryview) -> dict[str, np.ndarray]:
     """Parse checkpoint bytes into a name -> float32 tensor table.
 
     Check order: magic, version, structure (Truncated on overrun),
     then the CRC trailer, so a clean cut raises Truncated while a
-    flipped payload byte raises ChecksumMismatch.
+    flipped payload byte raises ChecksumMismatch.  Each returned tensor
+    is a writable copy that shares no memory with ``data``.
     """
-    if len(data) < len(MAGIC):
-        raise Truncated(f"{len(data)} bytes is too short for the magic marker")
-    if data[: len(MAGIC)] != MAGIC:
-        raise BadMagic(f"expected {MAGIC!r}, found {data[:4]!r}")
-    cur = _Cursor(data, max(len(data) - 4, len(MAGIC)))
+    view = memoryview(data).cast("B")
+    size = len(view)
+    if size < len(MAGIC):
+        raise Truncated(f"{size} bytes is too short for the magic marker")
+    if view[: len(MAGIC)] != MAGIC:
+        raise BadMagic(f"expected {MAGIC!r}, found {bytes(view[:4])!r}")
+    cur = _Cursor(view, max(size - 4, len(MAGIC)))
     cur.pos = len(MAGIC)
     version = cur.u32()
     if version != VERSION:
         raise BadVersion(f"version {version}, supported {VERSION}")
     count = cur.u32()
-    raw: list[tuple[str, tuple[int, ...], bytes]] = []
+    raw: list[tuple[str, tuple[int, ...], memoryview]] = []
     seen: set[str] = set()
     for _ in range(count):
         try:
-            name = cur.take(cur.u16()).decode("utf-8")
+            name = str(cur.take(cur.u16()), "utf-8")
         except UnicodeDecodeError as exc:
             raise HeaderParse(f"tensor name is not UTF-8: {exc}") from None
         if name in seen:
@@ -112,10 +151,10 @@ def parse_weights(data: bytes) -> dict[str, np.ndarray]:
         for extent in shape:
             n_values *= extent
         raw.append((name, shape, cur.take(4 * n_values)))
-    if cur.pos != len(data) - 4:
-        raise HeaderParse(f"{len(data) - 4 - cur.pos} unexpected bytes after the last tensor")
-    stored = struct.unpack("<I", data[-4:])[0]
-    actual = zlib.crc32(data[:-4])
+    if cur.pos != size - 4:
+        raise HeaderParse(f"{size - 4 - cur.pos} unexpected bytes after the last tensor")
+    stored = struct.unpack("<I", view[-4:])[0]
+    actual = zlib.crc32(view[:-4])
     if stored != actual:
         raise ChecksumMismatch(f"stored {stored:#010x}, computed {actual:#010x}")
     return {
@@ -125,8 +164,8 @@ def parse_weights(data: bytes) -> dict[str, np.ndarray]:
 
 
 def save_checkpoint(model: Model, path: str | Path) -> None:
-    """Write the model's parameter table to ``path``."""
-    Path(path).write_bytes(dump_weights(model.parameters()))
+    """Write the model's parameter table to ``path`` (see :func:`save_weights`)."""
+    save_weights(model.parameters(), path)
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:

@@ -7,9 +7,13 @@ global average pooling in place of the fifth max-pool, then a dropout
 and dense head) and ``build_vgg_tiny`` (a three-block miniature with the
 same layer kinds, small enough to train in seconds).
 
-Forward passes record a trace of per-node caches; ``backward`` consumes
-the trace in reverse and returns a gradient table keyed like
-``parameters()`` ("conv1.weight", "dense2.bias", ...).
+The nodes before the first trainable (not ``frozen``) layer form the
+trunk; the rest, up to the softmax, form the head.  ``forward_logits``
+runs both but records a trace of per-node caches for the head only, so
+trunk activations are freed as soon as the next node has used them;
+``forward`` keeps no trace at all.  ``backward`` consumes the trace in
+reverse, stops at the first trainable layer, and returns a gradient
+table keyed like ``parameters()`` ("conv1.weight", "dense2.bias", ...).
 """
 
 from __future__ import annotations
@@ -64,7 +68,6 @@ class Model:
         self.input_size = input_size
         self.in_channels = in_channels
         self.arch = arch
-        self.mode = "eval"
 
     def layer(self, name: str) -> nn.ConvLayer | nn.DenseLayer:
         return self.conv[name] if name in self.conv else self.dense[name]
@@ -108,6 +111,70 @@ class Model:
             return np.repeat(batch, self.in_channels, axis=1)
         raise ShapeMismatch(f"batch has {c} channels, model expects {self.in_channels}")
 
+    @property
+    def trunk_end(self) -> int:
+        """Index of the first node whose layer is trainable.
+
+        The nodes before it are the frozen trunk: their output does not
+        change while training.  With every layer frozen the trunk runs
+        up to the softmax.
+        """
+        for i, spec in enumerate(self.specs):
+            if spec.kind in ("conv", "dense") and not self.layer(spec.name).frozen:
+                return i
+        return len(self.specs) - 1
+
+    def _node(self, spec: LayerSpec, h: np.ndarray, mode: str, rng: Rng | None):
+        """Run one node; return (output, the cache its backward needs)."""
+        kind = spec.kind
+        if kind == "conv":
+            return nn.conv2d_forward(h, self.conv[spec.name]), h
+        if kind == "relu":
+            return nn.relu(h), h
+        if kind == "maxpool":
+            return nn.maxpool2(h)
+        if kind == "gap":
+            return nn.global_avg_pool(h), h.shape
+        if kind == "dropout":
+            out, mask = nn.dropout(h, spec.p, mode, rng)
+            return out, (mask, spec.p)
+        if kind == "dense":
+            return nn.dense_forward(h, self.dense[spec.name]), h
+        raise ValueError(f"unknown layer kind {kind!r}")
+
+    def _run(
+        self,
+        h: np.ndarray,
+        specs: list[LayerSpec],
+        mode: str,
+        rng: Rng | None,
+        trace: list[tuple] | None = None,
+    ) -> np.ndarray:
+        """Run ``specs`` in order on ``h``, appending to ``trace`` if given."""
+        if mode not in ("train", "eval"):
+            raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+        for spec in specs:
+            h, cache = self._node(spec, h, mode, rng)
+            if trace is not None:
+                trace.append((spec.kind, spec.name, cache))
+            del cache  # untraced, a node's input is freed as soon as it has run
+        return h
+
+    def trunk(self, batch: np.ndarray, mode: str = "eval", rng: Rng | None = None) -> np.ndarray:
+        """Output of every node before :attr:`trunk_end`; no trace is kept."""
+        return self._run(self._prepare_input(batch), self.specs[: self.trunk_end], mode, rng)
+
+    def head(
+        self,
+        h: np.ndarray,
+        mode: str = "eval",
+        rng: Rng | None = None,
+        trace: list[tuple] | None = None,
+    ) -> np.ndarray:
+        """Logits from the nodes from :attr:`trunk_end` up to the softmax,
+        run on trunk output ``h``; their caches go to ``trace`` if given."""
+        return self._run(h, self.specs[self.trunk_end : -1], mode, rng, trace)
+
     def forward_logits(
         self, batch: np.ndarray, mode: str = "eval", rng: Rng | None = None
     ) -> tuple[np.ndarray, list[tuple]]:
@@ -115,56 +182,32 @@ class Model:
 
         Train mode engages dropout (drawing masks from ``rng`` in node
         order); eval mode skips it.  The trace holds exactly what
-        :meth:`backward` needs, one entry per executed node.
+        :meth:`backward` needs: one entry per head node, none for the
+        frozen trunk.
         """
-        if mode not in ("train", "eval"):
-            raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-        self.mode = mode
-        h = self._prepare_input(batch)
         trace: list[tuple] = []
-        for spec in self.specs:
-            kind = spec.kind
-            if kind == "conv":
-                trace.append((kind, spec.name, h))
-                h = nn.conv2d_forward(h, self.conv[spec.name])
-            elif kind == "relu":
-                trace.append((kind, None, h))
-                h = nn.relu(h)
-            elif kind == "maxpool":
-                h, routing = nn.maxpool2(h)
-                trace.append((kind, None, routing))
-            elif kind == "gap":
-                trace.append((kind, None, h.shape))
-                h = nn.global_avg_pool(h)
-            elif kind == "dropout":
-                h, mask = nn.dropout(h, spec.p, mode, rng)
-                trace.append((kind, None, (mask, spec.p)))
-            elif kind == "dense":
-                trace.append((kind, spec.name, h))
-                h = nn.dense_forward(h, self.dense[spec.name])
-            elif kind == "softmax":
-                break
-            else:
-                raise ValueError(f"unknown layer kind {kind!r}")
-        return h, trace
+        logits = self.head(self.trunk(batch, mode, rng), mode, rng, trace)
+        return logits, trace
 
     def forward(
         self, batch: np.ndarray, mode: str = "eval", rng: Rng | None = None
     ) -> np.ndarray:
-        """Class probabilities [N, num_classes], rows summing to 1."""
-        logits, _ = self.forward_logits(batch, mode, rng)
-        return nn.softmax(logits)
+        """Class probabilities [N, num_classes], rows summing to 1; no
+        trace is kept."""
+        return nn.softmax(self.head(self.trunk(batch, mode, rng), mode, rng))
 
     def backward(self, trace: list[tuple], dlogits: np.ndarray) -> dict[str, np.ndarray]:
-        """Gradients for every parameter, keyed like :meth:`parameters`."""
+        """Gradients of the trainable parameters, keyed like :meth:`parameters`.
+
+        The trace's first entry is the first trainable layer; nothing
+        reads its input gradient, so there only dw and db are computed
+        and the pass stops.
+        """
         grads: dict[str, np.ndarray] = {}
         d = dlogits
-        for kind, name, cache in reversed(trace):
-            if kind == "conv":
-                d, dw, db = nn.conv2d_backward(cache, self.conv[name], d)
-                grads[f"{name}.weight"] = dw
-                grads[f"{name}.bias"] = db
-            elif kind == "relu":
+        for i in reversed(range(len(trace))):
+            kind, name, cache = trace[i]
+            if kind == "relu":
                 d = nn.relu_backward(cache, d)
             elif kind == "maxpool":
                 d = nn.maxpool2_backward(cache, d)
@@ -172,10 +215,18 @@ class Model:
                 d = nn.gap_backward(d, cache[2], cache[3])
             elif kind == "dropout":
                 d = nn.dropout_backward(d, cache[0], cache[1])
-            elif kind == "dense":
-                d, dw, db = nn.dense_backward(cache, self.dense[name], d)
-                grads[f"{name}.weight"] = dw
-                grads[f"{name}.bias"] = db
+            else:
+                layer = self.layer(name)
+                conv = kind == "conv"
+                if i == 0:  # nothing reads the first trainable layer's input gradient
+                    param_grads = nn.conv2d_param_grads if conv else nn.dense_param_grads
+                    dw, db = param_grads(cache, layer, d)
+                else:
+                    full = nn.conv2d_backward if conv else nn.dense_backward
+                    d, dw, db = full(cache, layer, d)
+                if not layer.frozen:
+                    grads[f"{name}.weight"] = dw
+                    grads[f"{name}.bias"] = db
         return grads
 
 

@@ -90,24 +90,34 @@ def conv2d_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
     return np.ascontiguousarray(y + layer.bias[None, :, None, None]).astype(x.dtype, copy=False)
 
 
-def conv2d_backward(
+def conv2d_param_grads(
     x: np.ndarray, layer: ConvLayer, dy: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (dx, dw, db) of :func:`conv2d_forward`.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Parameter gradients (dw, db) of :func:`conv2d_forward`, without dx.
 
-    Gradients are computed even for frozen layers; whether they are
-    applied is the optimizer's decision (``layer.frozen``).
+    This is all a network's first trainable layer needs: nothing reads
+    the gradient of its input.
     """
     _check_nchw(x, layer.in_channels, "conv2d_backward")
     expected = (x.shape[0], layer.out_channels, x.shape[2], x.shape[3])
     if dy.shape != expected:
         raise ShapeMismatch(f"dy shape {dy.shape}, expected {expected}")
-
     xp = np.pad(x, ((0, 0), (0, 0), (PAD, PAD), (PAD, PAD)))
     windows = sliding_window_view(xp, (KERNEL, KERNEL), axis=(2, 3))
     dw = np.tensordot(dy, windows, axes=([0, 2, 3], [0, 2, 3]))  # [out, C, 3, 3]
     db = dy.sum(axis=(0, 2, 3))
+    return dw.astype(layer.weight.dtype, copy=False), db.astype(layer.bias.dtype, copy=False)
 
+
+def conv2d_backward(
+    x: np.ndarray, layer: ConvLayer, dy: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients (dx, dw, db) of :func:`conv2d_forward`.
+
+    dw and db come from :func:`conv2d_param_grads`, so they are the same
+    bits whether or not dx is wanted.
+    """
+    dw, db = conv2d_param_grads(x, layer, dy)
     # dx is the "full" correlation of dy with the flipped kernel
     dyp = np.pad(dy, ((0, 0), (0, 0), (KERNEL - 1, KERNEL - 1), (KERNEL - 1, KERNEL - 1)))
     dy_windows = sliding_window_view(dyp, (KERNEL, KERNEL), axis=(2, 3))
@@ -115,11 +125,7 @@ def conv2d_backward(
     dxp = np.tensordot(dy_windows, w_flip, axes=([1, 4, 5], [0, 2, 3]))  # [N,H+2,W+2,C]
     dxp = np.moveaxis(dxp, 3, 1)
     dx = dxp[:, :, PAD : PAD + x.shape[2], PAD : PAD + x.shape[3]]
-    return (
-        np.ascontiguousarray(dx).astype(x.dtype, copy=False),
-        dw.astype(layer.weight.dtype, copy=False),
-        db.astype(layer.bias.dtype, copy=False),
-    )
+    return np.ascontiguousarray(dx).astype(x.dtype, copy=False), dw, db
 
 
 def maxpool2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -183,15 +189,23 @@ def dense_forward(x: np.ndarray, layer: DenseLayer) -> np.ndarray:
     return x @ layer.weight.T + layer.bias
 
 
-def dense_backward(
+def dense_param_grads(
     x: np.ndarray, layer: DenseLayer, dy: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (dx, dw, db) of :func:`dense_forward`."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Parameter gradients (dw, db) of :func:`dense_forward`, without dx."""
     if x.ndim != 2 or x.shape[1] != layer.in_features:
         raise ShapeMismatch(f"dense expects [N, {layer.in_features}], got {x.shape}")
     if dy.shape != (x.shape[0], layer.out_features):
         raise ShapeMismatch(f"dy shape {dy.shape} vs [{x.shape[0]}, {layer.out_features}]")
-    return dy @ layer.weight, dy.T @ x, dy.sum(axis=0)
+    return dy.T @ x, dy.sum(axis=0)
+
+
+def dense_backward(
+    x: np.ndarray, layer: DenseLayer, dy: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients (dx, dw, db) of :func:`dense_forward`."""
+    dw, db = dense_param_grads(x, layer, dy)
+    return dy @ layer.weight, dw, db
 
 
 def dropout(

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .dataset import DatasetManifest
-from .metrics import MetricsReport, ScoredSample
+from .metrics import CLASSES, MetricsReport, ScoredSample
 from .train import EpochStats
 
 UNDEFINED = "undefined"
@@ -106,43 +106,64 @@ def write_scores_csv(
 
 
 def read_scores_csv(path: str | Path):
-    """Parse a scores.csv back into (manifest, samples, predictions)."""
-    from .dataset import ManifestEntry
-    from .errors import BadConfig
+    """Parse a scores.csv back into (manifest, samples, predictions).
 
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    if not rows or rows[0] != ["path", "label", "score", "prediction"]:
-        raise BadConfig(f"{path} is not a scores CSV")
+    A malformed row raises BadConfig naming ``path:line``.
+    """
+    from .dataset import ManifestEntry
+    from .errors import BadConfig, TumorkitError
+
     entries, samples, predictions = [], [], []
-    for row in rows[1:]:
-        entries.append(ManifestEntry(row[0], row[1]))
-        samples.append(ScoredSample(row[1], float(row[2])))
-        predictions.append(row[3])
-    return DatasetManifest(entries), samples, predictions
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        if next(reader, None) != ["path", "label", "score", "prediction"]:
+            raise BadConfig(f"{path} is not a scores CSV")
+        for row in reader:
+            try:
+                if len(row) != 4:
+                    raise ValueError(f"expected 4 fields, got {len(row)}")
+                image, label, score, predicted = row
+                if predicted not in CLASSES:
+                    raise ValueError(f"prediction must be one of {CLASSES}, got {predicted!r}")
+                entries.append(ManifestEntry(image, label))
+                samples.append(ScoredSample(label, float(score)))
+            except (ValueError, TumorkitError) as exc:
+                raise BadConfig(f"{path}:{reader.line_num}: {exc}") from None
+            predictions.append(predicted)
+    try:
+        return DatasetManifest(entries), samples, predictions
+    except ValueError as exc:
+        raise BadConfig(f"{path}: {exc}") from None
 
 
 def read_history_csv(path: str | Path) -> list[EpochStats]:
-    """Parse a history.csv back into epoch stats (timings not stored)."""
+    """Parse a history.csv back into epoch stats (timings not stored).
+
+    A malformed row raises BadConfig naming ``path:line``.
+    """
     from .errors import BadConfig
 
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    header = ["epoch", "train_loss", "train_acc", "val_loss", "val_acc"]
-    if not rows or rows[0] != header:
-        raise BadConfig(f"{path} is not a history CSV")
     out = []
-    for row in rows[1:]:
-        out.append(
-            EpochStats(
-                epoch=int(row[0]),
-                train_loss=float(row[1]),
-                train_acc=float(row[2]),
-                val_loss=float(row[3]) if row[3] else None,
-                val_acc=float(row[4]) if row[4] else None,
-                seconds=0.0,
-            )
-        )
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        if next(reader, None) != ["epoch", "train_loss", "train_acc", "val_loss", "val_acc"]:
+            raise BadConfig(f"{path} is not a history CSV")
+        for row in reader:
+            try:
+                if len(row) != 5:
+                    raise ValueError(f"expected 5 fields, got {len(row)}")
+                out.append(
+                    EpochStats(
+                        epoch=int(row[0]),
+                        train_loss=float(row[1]),
+                        train_acc=float(row[2]),
+                        val_loss=float(row[3]) if row[3] else None,
+                        val_acc=float(row[4]) if row[4] else None,
+                        seconds=0.0,
+                    )
+                )
+            except ValueError as exc:
+                raise BadConfig(f"{path}:{reader.line_num}: {exc}") from None
     return out
 
 

@@ -9,7 +9,9 @@ formed (the final short batch is kept), each image is freshly augmented
 before normalization, and one Adam step is taken per batch with frozen
 layers skipped.  After each epoch the validation set is scored in eval
 mode without augmentation; the best-validation-accuracy weights and the
-final weights are both saved.
+final weights are both saved.  The frozen trunk (see ``Model.trunk``)
+gives the same validation features every epoch, so they are computed
+once per run and later epochs run only the head.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .augment import AugmentConfig, augment_image, sample_params
-from .checkpoint import apply_weights, dump_weights, load_checkpoint, save_checkpoint
+from .checkpoint import apply_weights, load_checkpoint, save_checkpoint, save_weights
+from .checkpoint import dump_weights  # noqa: F401  (bench/tracing.py patches train.dump_weights)
 from .dataset import DatasetManifest
 from .errors import BadConfig, NonFiniteLoss, TumorkitError
 from .metrics import CLASSES, MetricsReport, ScoredSample, evaluate_scores, label_from_score
@@ -128,19 +131,27 @@ def _to_batch(images: list[GrayImage8]) -> np.ndarray:
     return np.stack([normalize_zscore(image_to_tensor(img)) for img in images])
 
 
-def _eval_pass(model: Model, x: np.ndarray, targets: np.ndarray, batch_size: int):
-    """Mean loss, accuracy, and YES probabilities over x in eval mode."""
-    n = x.shape[0]
+def _trunk_batches(model: Model, x: np.ndarray, batch_size: int) -> list[np.ndarray]:
+    """Eval-mode trunk output of each ``batch_size`` slice of x, in order."""
+    return [model.trunk(x[start : start + batch_size]) for start in range(0, len(x), batch_size)]
+
+
+def _eval_pass(model: Model, trunk_out: list[np.ndarray], targets: np.ndarray):
+    """Mean loss, accuracy, and YES probabilities in eval mode, running
+    the model head on each batch of trunk output."""
+    n = len(targets)
     total_loss = 0.0
     correct = 0
     scores = np.empty(n, dtype=np.float64)
-    for start in range(0, n, batch_size):
-        stop = min(start + batch_size, n)
-        logits, _ = model.forward_logits(x[start:stop], "eval")
+    start = 0
+    for features in trunk_out:
+        stop = start + len(features)
+        logits = model.head(features)
         loss, _ = softmax_ce_loss(logits, targets[start:stop])
         total_loss += loss * (stop - start)
         correct += int((logits.argmax(axis=1) == targets[start:stop].argmax(axis=1)).sum())
         scores[start:stop] = softmax(logits)[:, 1]
+        start = stop
     return total_loss / n, correct / n, scores
 
 
@@ -174,6 +185,7 @@ def run_training(
     size = cfg.input_size
 
     history: list[EpochStats] = []
+    val_trunk: list[np.ndarray] | None = None
     best_acc: float | None = None
     best_weights: dict[str, np.ndarray] | None = None
     for epoch in range(1, cfg.epochs + 1):
@@ -206,7 +218,10 @@ def run_training(
             correct += int((logits.argmax(axis=1) == targets.argmax(axis=1)).sum())
 
         if val_x is not None:
-            val_loss, val_acc, _ = _eval_pass(model, val_x, val_targets, cfg.batch_size)
+            # the frozen trunk's output never changes: compute it once, in epoch 1
+            if val_trunk is None:
+                val_trunk = _trunk_batches(model, val_x, cfg.batch_size)
+            val_loss, val_acc, _ = _eval_pass(model, val_trunk, val_targets)
         else:
             val_loss = val_acc = None
         history.append(
@@ -227,7 +242,7 @@ def run_training(
     save_checkpoint(model, final_path)
     best_path = ckpt_dir / BEST_CHECKPOINT
     if best_weights is not None:
-        best_path.write_bytes(dump_weights(best_weights))
+        save_weights(best_weights, best_path)
     else:
         save_checkpoint(model, best_path)
     return TrainResult(best_path, final_path, best_acc, history)
@@ -246,7 +261,7 @@ def run_evaluation(
     base = load_base_images(manifest, cfg)
     x = _to_batch([img for img, _ in base])
     targets = _one_hot([label for _, label in base])
-    _, _, scores = _eval_pass(model, x, targets, cfg.batch_size)
+    _, _, scores = _eval_pass(model, _trunk_batches(model, x, cfg.batch_size), targets)
     samples = [
         ScoredSample(entry.label, float(score))
         for entry, score in zip(manifest.entries, scores)

@@ -14,6 +14,7 @@ from tumorkit.augment import (
     flip,
     sample_params,
 )
+from tumorkit.errors import BadConfig
 from tumorkit.pgm import GrayImage8
 from tumorkit.rng import Rng
 
@@ -29,15 +30,15 @@ class TestConfig:
         assert cfg.brightness_lo == 0.5 and cfg.brightness_hi == 1.5
 
     def test_rejects_bad_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadConfig):
             AugmentConfig(max_rotation_deg=-1)
-        with pytest.raises(ValueError):
+        with pytest.raises(BadConfig):
             AugmentConfig(shift_fraction=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(BadConfig):
             AugmentConfig(brightness_lo=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(BadConfig):
             AugmentConfig(brightness_lo=1.2, brightness_hi=0.8)
-        with pytest.raises(ValueError):
+        with pytest.raises(BadConfig):
             AugmentConfig(shear_rad=-0.1)
 
 

@@ -15,6 +15,7 @@ from tumorkit.checkpoint import (
     load_weights,
     parse_weights,
     save_checkpoint,
+    save_weights,
 )
 from tumorkit.errors import (
     BadMagic,
@@ -65,6 +66,35 @@ class TestRoundTrip:
         table = load_checkpoint(path)
         for name, tensor in model.parameters().items():
             assert np.array_equal(table[name], tensor)
+
+    def test_any_layout_of_float_data_dumps_its_c_order_bytes(self):
+        g = np.random.default_rng(172)
+        base = g.normal(size=(3, 4)).astype(np.float32)
+        table = {"t": base.T, "be": base.astype(">f4"), "f64": base.astype(np.float64),
+                 "s": np.float32(1.5), "e": np.zeros((0, 3), dtype=np.float32)}
+        body = MAGIC + struct.pack("<II", VERSION, len(table))
+        for name, tensor in table.items():
+            data = np.asarray(tensor, dtype="<f4")
+            body += struct.pack("<H", len(name)) + name.encode() + struct.pack("<B", data.ndim)
+            body += struct.pack(f"<{data.ndim}I", *data.shape) + data.tobytes()
+        assert dump_weights(table) == body + struct.pack("<I", zlib.crc32(body))
+
+    def test_parse_returns_owned_writable_tensors(self):
+        blob = bytearray(dump_weights(sample_table()))
+        original = bytes(blob)
+        back = parse_weights(blob)
+        for name, tensor in back.items():
+            assert tensor.flags.writeable and tensor.flags.owndata, name
+            assert not np.shares_memory(tensor, np.frombuffer(blob, dtype=np.uint8)), name
+            tensor += 1
+        assert bytes(blob) == original
+        assert parse_weights(memoryview(blob)).keys() == back.keys()
+
+    def test_saved_file_holds_the_dumped_bytes(self, tmp_path):
+        model = init_weights(build_vgg_tiny(input_size=16), Rng(9))
+        path = tmp_path / "weights.nnck"
+        save_checkpoint(model, path)
+        assert path.read_bytes() == dump_weights(model.parameters())
 
     def test_layout_of_minimal_file(self):
         blob = dump_weights({"b": np.zeros(2, dtype=np.float32)})
@@ -186,3 +216,24 @@ class TestApplyWeights:
         load_weights(dst, path)
         for name, tensor in src.parameters().items():
             assert np.array_equal(dst.parameters()[name], tensor)
+
+
+class TestAtomicSave:
+    def test_failed_save_leaves_the_old_file_and_no_temp_file(self, tmp_path):
+        path = tmp_path / "weights.nnck"
+        save_weights(sample_table(), path)
+        before = path.read_bytes()
+        # the second name is too long to encode, so the write fails after
+        # the header and the first tensor have gone to the temporary file
+        table = {"first": np.ones(1000, dtype=np.float32), "x" * 0x10000: np.zeros(1)}
+        with pytest.raises(ValueError, match="too long"):
+            save_weights(table, path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_save_replaces_an_existing_file(self, tmp_path):
+        path = tmp_path / "weights.nnck"
+        path.write_bytes(b"stale")
+        save_weights(sample_table(), path)
+        assert path.read_bytes() == dump_weights(sample_table())
+        assert list(tmp_path.iterdir()) == [path]

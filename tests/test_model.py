@@ -15,6 +15,7 @@ from tumorkit.model import (
     he_normal,
     init_weights,
 )
+from tumorkit import nn
 from tumorkit.nn import softmax_ce_loss
 from tumorkit.rng import Rng
 
@@ -284,3 +285,95 @@ class TestBackward:
         grads = m.backward(trace, dlogits)
         assert grads["conv1.weight"].any()
         assert grads["dense2.bias"].any()
+
+
+class TestFrozenTrunk:
+    """Under freeze_features only the dense head is differentiated."""
+
+    def make(self, policy, seed=63):
+        m = init_weights(build_vgg_tiny(input_size=16), Rng(seed))
+        return apply_freeze_policy(m, policy)
+
+    def train_step(self, m, seed=71):
+        x = np.random.default_rng(164).normal(size=(3, 1, 16, 16)).astype(np.float32)
+        targets = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]], dtype=np.float32)
+        logits, trace = m.forward_logits(x, "train", Rng(seed))
+        _, dlogits = softmax_ce_loss(logits, targets)
+        return logits, trace, m.backward(trace, dlogits)
+
+    def test_trunk_ends_at_the_first_trainable_layer(self):
+        frozen = self.make(FREEZE_FEATURES)
+        assert frozen.specs[frozen.trunk_end].name == "dense1"
+        assert self.make(FREEZE_NONE).trunk_end == 0
+        for layer in frozen.dense.values():
+            layer.frozen = True
+        assert frozen.trunk_end == len(frozen.specs) - 1
+
+    def test_trace_covers_only_the_head(self):
+        m = self.make(FREEZE_FEATURES)
+        _, trace, _ = self.train_step(m)
+        assert trace[0][:2] == ("dense", "dense1")
+        assert not any(kind == "conv" for kind, _, _ in trace)
+
+    def test_backward_returns_exactly_the_trainable_keys(self):
+        m = self.make(FREEZE_FEATURES)
+        _, _, grads = self.train_step(m)
+        trainable = set(m.parameters()) - m.frozen_param_names()
+        assert set(grads) == trainable
+        assert all(name.startswith("dense") for name in grads)
+
+    def test_head_gradients_match_a_full_backward_bitwise(self):
+        frozen_logits, _, frozen_grads = self.train_step(self.make(FREEZE_FEATURES))
+        full_logits, _, full_grads = self.train_step(self.make(FREEZE_NONE))
+        assert frozen_logits.tobytes() == full_logits.tobytes()
+        for name, grad in frozen_grads.items():
+            assert grad.dtype == full_grads[name].dtype
+            assert grad.tobytes() == full_grads[name].tobytes(), name
+
+    def test_no_conv_backward_runs_under_freeze(self, monkeypatch):
+        calls = []
+        original = nn.conv2d_backward
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(nn, "conv2d_backward", counting)
+        self.train_step(self.make(FREEZE_FEATURES))
+        assert calls == []
+        self.train_step(self.make(FREEZE_NONE))
+        assert len(calls) == 2  # conv2 and conv3; conv1 needs no input gradient
+
+    def test_first_conv_gets_only_parameter_gradients(self, monkeypatch):
+        m = self.make(FREEZE_NONE)
+        inputs = []
+        original = nn.conv2d_param_grads
+
+        def recording(x, layer, dy):
+            inputs.append((x, layer, dy))
+            return original(x, layer, dy)
+
+        monkeypatch.setattr(nn, "conv2d_param_grads", recording)
+        _, _, grads = self.train_step(m)
+        # conv2d_backward reaches conv2d_param_grads too, for conv2 and conv3
+        (x, layer, dy), = [args for args in inputs if args[1] is m.conv["conv1"]]
+        _, dw, db = nn.conv2d_backward(x, layer, dy)
+        assert grads["conv1.weight"].tobytes() == dw.tobytes()
+        assert grads["conv1.bias"].tobytes() == db.tobytes()
+
+    def test_head_on_trunk_equals_forward_logits_bitwise(self):
+        m = self.make(FREEZE_FEATURES)
+        x = np.random.default_rng(165).normal(size=(7, 1, 16, 16)).astype(np.float32)
+        for start in range(0, 7, 3):  # batches of 3, 3 and a short 1
+            batch = x[start : start + 3]
+            trace = []
+            head_logits = m.head(m.trunk(batch), trace=trace)
+            want, want_trace = m.forward_logits(batch, "eval")
+            assert head_logits.tobytes() == want.tobytes()
+            assert [entry[:2] for entry in trace] == [entry[:2] for entry in want_trace]
+            assert m.head(m.trunk(batch)).tobytes() == want.tobytes()
+
+    def test_untrained_trunk_output_is_the_input(self):
+        m = self.make(FREEZE_NONE)
+        x = np.zeros((1, 1, 16, 16), dtype=np.float32)
+        assert m.trunk(x) is x

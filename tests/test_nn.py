@@ -14,8 +14,10 @@ from tumorkit.nn import (
     adam_step,
     conv2d_backward,
     conv2d_forward,
+    conv2d_param_grads,
     dense_backward,
     dense_forward,
+    dense_param_grads,
     dropout,
     dropout_backward,
     gap_backward,
@@ -89,6 +91,20 @@ class TestConv:
 
         num_dw = central_diff(loss_of_w, layer.weight)
         assert max_rel_err(dw, num_dw) < 1e-6
+
+    def test_param_grads_are_the_bits_of_the_full_backward(self):
+        g = np.random.default_rng(86)
+        x = g.normal(size=(3, 2, 6, 6)).astype(np.float32)
+        layer = conv_layer(5, 2, g)
+        layer.weight = layer.weight.astype(np.float32)
+        layer.bias = layer.bias.astype(np.float32)
+        dy = g.normal(size=(3, 5, 6, 6)).astype(np.float32)
+        _, dw, db = conv2d_backward(x, layer, dy)
+        dw_only, db_only = conv2d_param_grads(x, layer, dy)
+        assert dw_only.dtype == dw.dtype and dw_only.tobytes() == dw.tobytes()
+        assert db_only.dtype == db.dtype and db_only.tobytes() == db.tobytes()
+        with pytest.raises(ShapeMismatch):
+            conv2d_param_grads(x, layer, dy[:, :4])
 
     def test_zero_cotangent_zero_grads(self):
         g = np.random.default_rng(84)
@@ -204,6 +220,16 @@ class TestDense:
         dx, dw, db = dense_backward(x, layer, r)
         num_dx = central_diff(lambda v: float((dense_forward(v, layer) * r).sum()), x)
         assert max_rel_err(dx, num_dx) < 1e-6
+
+    def test_param_grads_are_the_bits_of_the_full_backward(self):
+        g = np.random.default_rng(113)
+        x = g.normal(size=(5, 4)).astype(np.float32)
+        layer = DenseLayer(weight=g.normal(size=(3, 4)).astype(np.float32),
+                           bias=g.normal(size=(3,)).astype(np.float32))
+        dy = g.normal(size=(5, 3)).astype(np.float32)
+        _, dw, db = dense_backward(x, layer, dy)
+        dw_only, db_only = dense_param_grads(x, layer, dy)
+        assert dw_only.tobytes() == dw.tobytes() and db_only.tobytes() == db.tobytes()
 
     def test_feature_mismatch_rejected(self):
         layer = DenseLayer(weight=np.eye(2), bias=np.zeros(2))

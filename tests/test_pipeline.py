@@ -17,6 +17,7 @@ from tumorkit.cli import SPLIT_FILES, main
 from tumorkit.dataset import DatasetManifest, SplitConfig, read_manifest, stratified_split
 from tumorkit.errors import BadConfig, NoForeground
 from tumorkit.metrics import CLASSES, NO, YES, label_from_score
+from tumorkit.model import Model
 from tumorkit.pgm import GrayImage8, write_pgm
 from tumorkit.train import (
     TrainConfig,
@@ -129,6 +130,25 @@ class TestRunTraining:
         assert result.best_val_accuracy is None
         assert all(s.val_loss is None and s.val_acc is None for s in result.history)
         assert result.best_path.read_bytes() == result.final_path.read_bytes()
+
+    def test_validation_trunk_runs_once_per_run(self, trained, tmp_path, monkeypatch):
+        _, train_m, val_m, test_m, _ = trained
+        val_m = DatasetManifest(val_m.entries + test_m.entries)
+        cfg = tiny_cfg(freeze_policy="freeze_features", batch_size=3, epochs=3)
+        assert len(val_m) % 3 and len(val_m) > 3  # the last validation batch is short
+        calls = []
+        original = Model.trunk
+
+        def counting(self, batch, mode="eval", rng=None):
+            calls.append((mode, len(batch)))
+            return original(self, batch, mode, rng)
+
+        monkeypatch.setattr(Model, "trunk", counting)
+        run_training(cfg, train_m, val_m, tmp_path)
+        sizes = [n for mode, n in calls if mode == "eval"]
+        assert sizes == [3] * (len(val_m) // 3) + [len(val_m) % 3]
+        train_batches = -(-len(train_m) // cfg.batch_size)
+        assert sum(mode == "train" for mode, _ in calls) == cfg.epochs * train_batches
 
     def test_init_checkpoint_resumes_from_saved_weights(self, blob_data, trained, tmp_path):
         _, manifest = blob_data
@@ -396,6 +416,31 @@ class TestCliErrors:
                 "--checkpoint", str(result.best_path), str(path)]
         assert main(argv) == 1
         assert "error: NoForeground:" in stderr_error(capsys)
+
+    def test_out_of_range_augment_value(self, tmp_path, capsys):
+        config = write_config(tmp_path / "c.json", train={"augment": {"shift_fraction": 2}})
+        assert main(["train", "--config", config, "--out", str(tmp_path / "o")]) == 1
+        err = stderr_error(capsys)
+        assert err.count("\n") == 1
+        assert err.startswith("error: BadConfig: shift_fraction must be in [0, 1)")
+
+    @pytest.mark.parametrize(
+        "row, problem",
+        [
+            ("a.pgm,maybe,0.5,yes", "label must be one of"),
+            ("a.pgm,yes,abc,yes", "could not convert"),
+            ("a.pgm,yes,0.5", "expected 4 fields, got 3"),
+        ],
+        ids=["bad-label", "bad-score", "short-row"],
+    )
+    def test_malformed_scores_row(self, tmp_path, capsys, row, problem):
+        scores = tmp_path / "scores.csv"
+        scores.write_text(f"path,label,score,prediction\r\nb.pgm,no,0.25,no\r\n{row}\r\n")
+        assert main(["report", "--out", str(tmp_path)]) == 1
+        err = stderr_error(capsys)
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: BadConfig: {scores}:3: ")
+        assert problem in err
 
     def test_missing_data_dir_is_reported(self, tmp_path, capsys):
         assert main(["split", "--data-dir", str(tmp_path / "ghost"),

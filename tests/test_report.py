@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 
 import pytest
 
@@ -107,6 +108,14 @@ class TestHistoryCsv:
         assert rows[1][3] == "" and rows[1][4] == ""
         assert read_history_csv(path)[0].val_loss is None
 
+    @pytest.mark.parametrize("row", ["1,abc,0.5,,", "x,0.7,0.5,,", "1,0.7,0.5"],
+                             ids=["bad-loss", "bad-epoch", "short-row"])
+    def test_malformed_row_names_the_file(self, tmp_path, row):
+        path = tmp_path / "history.csv"
+        path.write_text(f"epoch,train_loss,train_acc,val_loss,val_acc\r\n{row}\r\n")
+        with pytest.raises(BadConfig, match=re.escape(f"{path}:2: ")):
+            read_history_csv(path)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "history.csv"
         path.write_text("a,b\r\n1,2\r\n")
@@ -127,6 +136,18 @@ class TestScoresCsv:
         assert m2.entries == manifest.entries
         assert [s.score for s in s2] == [s.score for s in samples]  # bit exact
         assert p2 == predictions
+
+    @pytest.mark.parametrize(
+        "row",
+        ["a.pgm,yes,0.5,maybe", "a.pgm,yes,1.5,yes", "a.pgm,yes,0.5,yes,extra",
+         "b.pgm,no,0.5,no"],
+        ids=["bad-prediction", "score-out-of-range", "long-row", "duplicate-path"],
+    )
+    def test_malformed_row_names_the_file(self, tmp_path, row):
+        path = tmp_path / "scores.csv"
+        path.write_text(f"path,label,score,prediction\r\nb.pgm,no,0.25,no\r\n{row}\r\n")
+        with pytest.raises(BadConfig, match=re.escape(str(path))):
+            read_scores_csv(path)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "scores.csv"
