@@ -10,7 +10,6 @@ from .checkpoint import (
     apply_weights,
     dump_weights,
     load_checkpoint,
-    load_weights,
     parse_weights,
     save_checkpoint,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "image_to_tensor",
     "init_weights",
     "load_checkpoint",
-    "load_weights",
     "mix_seed",
     "normalized_confusion",
     "parse_weights",

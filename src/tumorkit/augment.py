@@ -72,10 +72,6 @@ class AugmentParams:
     hflip: bool = False
     vflip: bool = False
 
-    @classmethod
-    def identity(cls) -> "AugmentParams":
-        return cls()
-
 
 def build_affine(
     rotation_deg: float,

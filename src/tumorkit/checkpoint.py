@@ -195,8 +195,3 @@ def apply_weights(model: Model, table: Mapping[str, np.ndarray]) -> Model:
     for name, tensor in table.items():
         params[name][...] = tensor
     return model
-
-
-def load_weights(model: Model, path: str | Path) -> Model:
-    """Load ``path`` and copy its tensors into ``model``."""
-    return apply_weights(model, load_checkpoint(path))

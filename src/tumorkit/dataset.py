@@ -158,8 +158,12 @@ def read_manifest(path: str | Path) -> DatasetManifest:
     if not rows or rows[0] != ["path", "label"]:
         raise BadConfig(f"{path} is not a manifest CSV (missing path,label header)")
     entries = []
+    seen = set()
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != 2 or row[1] not in CLASSES:
             raise BadConfig(f"{path} line {i}: expected path,{'|'.join(CLASSES)}")
+        if row[0] in seen:
+            raise BadConfig(f"{path} line {i}: duplicate path {row[0]!r}")
+        seen.add(row[0])
         entries.append(ManifestEntry(row[0], row[1]))
     return DatasetManifest(entries)

@@ -57,7 +57,6 @@ class Model:
         conv: dict[str, nn.ConvLayer],
         dense: dict[str, nn.DenseLayer],
         input_size: int,
-        in_channels: int = 1,
         arch: str = "custom",
     ):
         if specs[-1].kind != "softmax":
@@ -66,7 +65,6 @@ class Model:
         self.conv = conv
         self.dense = dense
         self.input_size = input_size
-        self.in_channels = in_channels
         self.arch = arch
 
     def layer(self, name: str) -> nn.ConvLayer | nn.DenseLayer:
@@ -97,7 +95,7 @@ class Model:
         frozen = self.frozen_param_names()
         return sum(p.size for n, p in self.parameters().items() if n not in frozen)
 
-    def _prepare_input(self, batch: np.ndarray) -> np.ndarray:
+    def _check_input(self, batch: np.ndarray) -> None:
         if batch.ndim != 4:
             raise ShapeMismatch(f"batch must be [N, C, H, W], got {batch.shape}")
         n, c, h, w = batch.shape
@@ -105,11 +103,8 @@ class Model:
             raise ShapeMismatch(
                 f"batch is {h}x{w}, model expects {self.input_size}x{self.input_size}"
             )
-        if c == self.in_channels:
-            return batch
-        if c == 1 and self.in_channels > 1:
-            return np.repeat(batch, self.in_channels, axis=1)
-        raise ShapeMismatch(f"batch has {c} channels, model expects {self.in_channels}")
+        if c != 1:
+            raise ShapeMismatch(f"batch has {c} channels, model expects 1")
 
     @property
     def trunk_end(self) -> int:
@@ -162,7 +157,8 @@ class Model:
 
     def trunk(self, batch: np.ndarray, mode: str = "eval", rng: Rng | None = None) -> np.ndarray:
         """Output of every node before :attr:`trunk_end`; no trace is kept."""
-        return self._run(self._prepare_input(batch), self.specs[: self.trunk_end], mode, rng)
+        self._check_input(batch)
+        return self._run(batch, self.specs[: self.trunk_end], mode, rng)
 
     def head(
         self,
@@ -250,7 +246,6 @@ def _assemble(
     head_widths: list[int],
     num_classes: int,
     input_size: int,
-    in_channels: int,
     dropout_p: float,
     arch: str,
 ) -> Model:
@@ -258,7 +253,7 @@ def _assemble(
     specs: list[LayerSpec] = []
     conv: dict[str, nn.ConvLayer] = {}
     dense: dict[str, nn.DenseLayer] = {}
-    ch = in_channels
+    ch = 1  # grayscale input
     idx = 0
     for b, widths in enumerate(blocks):
         for width in widths:
@@ -286,28 +281,20 @@ def _assemble(
     dense[name] = _dense(feat, num_classes)
     specs.append(LayerSpec("dense", name, num_classes))
     specs.append(LayerSpec("softmax"))
-    return Model(specs, conv, dense, input_size, in_channels, arch)
+    return Model(specs, conv, dense, input_size, arch)
 
 
-def build_vgg16(num_classes: int = 2, replicate_channels: int = 1) -> Model:
+def build_vgg16(num_classes: int = 2) -> Model:
     """Thirteen 3x3 conv layers in blocks 64-64 / 128-128 / 256x3 / 512x3
     / 512x3 with 2x2 max-pools between blocks, global average pooling in
     place of the fifth pool, then Dropout(0.3), Dense 256, ReLU,
-    Dropout(0.3), Dense 256, ReLU, Dense ``num_classes``, Softmax.
-
-    ``replicate_channels`` sets the first conv's input channel count;
-    pass 3 to load three-channel pretrained weights (single-channel
-    batches are replicated across channels at forward time).
-    """
-    if replicate_channels not in (1, 3):
-        raise ValueError("replicate_channels must be 1 or 3")
+    Dropout(0.3), Dense 256, ReLU, Dense ``num_classes``, Softmax."""
     return _assemble(
         blocks=[[64, 64], [128, 128], [256, 256, 256], [512, 512, 512], [512, 512, 512]],
         last_block_pools=False,
         head_widths=[256, 256],
         num_classes=num_classes,
         input_size=224,
-        in_channels=replicate_channels,
         dropout_p=0.3,
         arch="vgg16",
     )
@@ -325,7 +312,6 @@ def build_vgg_tiny(input_size: int = 64, num_classes: int = 2) -> Model:
         head_widths=[32],
         num_classes=num_classes,
         input_size=input_size,
-        in_channels=1,
         dropout_p=0.3,
         arch="vgg_tiny",
     )

@@ -12,18 +12,30 @@ curve files for a one-class run contain only their header row.
 from __future__ import annotations
 
 import csv
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .dataset import DatasetManifest
 from .metrics import CLASSES, MetricsReport, ScoredSample
-from .train import EpochStats
 
 UNDEFINED = "undefined"
 
 _SVG_SIZE = 320
 _SVG_MARGIN = 20
 _SVG_SPAN = _SVG_SIZE - 2 * _SVG_MARGIN
+
+
+@dataclass(frozen=True)
+class EpochStats:
+    """One history row; val fields are None when the val set is empty."""
+
+    epoch: int
+    train_loss: float
+    train_acc: float
+    val_loss: float | None
+    val_acc: float | None
+    seconds: float
 
 
 def _fixed(value: float | None) -> str:

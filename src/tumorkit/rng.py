@@ -93,10 +93,6 @@ class Rng:
         """Uniform double in [0, 1) with 53 bits of precision."""
         return (self.next_u64() >> 11) * 2.0**-53
 
-    def uniform(self, lo: float, hi: float) -> float:
-        """Uniform double in [lo, hi)."""
-        return lo + (hi - lo) * self.random()
-
     def normal(self) -> float:
         """Standard normal via Box-Muller; consumes exactly two draws."""
         u1 = 1.0 - self.random()  # (0, 1], keeps log finite

@@ -38,6 +38,7 @@ from .preprocess import (
     crop_and_resize,
     normalize_zscore,
 )
+from .report import EpochStats
 from .rng import Rng, STREAM_AUGMENT, STREAM_DROPOUT, STREAM_INIT, STREAM_SHUFFLE, mix_seed
 
 ARCHITECTURES = ("vgg16", "vgg_tiny")
@@ -74,20 +75,14 @@ class TrainConfig:
             raise BadConfig(f"freeze_policy must be one of {FREEZE_POLICIES}")
         if self.architecture == "vgg16" and self.input_size != 224:
             raise BadConfig("vgg16 takes 224x224 input")
-        if self.architecture == "vgg_tiny" and self.input_size % 8:
-            raise BadConfig("vgg_tiny input_size must be divisible by 8")
-
-
-@dataclass(frozen=True)
-class EpochStats:
-    """One history row; val fields are None when the val set is empty."""
-
-    epoch: int
-    train_loss: float
-    train_acc: float
-    val_loss: float | None
-    val_acc: float | None
-    seconds: float
+        if self.architecture == "vgg_tiny" and (self.input_size < 8 or self.input_size % 8):
+            raise BadConfig(
+                f"vgg_tiny input_size must be a positive multiple of 8, got {self.input_size}"
+            )
+        if not 0 <= self.threshold <= 255:
+            raise BadConfig(f"threshold must be in [0, 255], got {self.threshold}")
+        if self.morph_iterations < 0:
+            raise BadConfig(f"morph_iterations must be >= 0, got {self.morph_iterations}")
 
 
 @dataclass

@@ -183,7 +183,7 @@ class TestAugmentImage:
     def test_identity_params_copy_the_image(self):
         g = np.random.default_rng(71)
         px = g.integers(0, 256, size=(16, 16), dtype=np.uint8)
-        out = augment_image(GrayImage8(px), AugmentParams.identity())
+        out = augment_image(GrayImage8(px), AugmentParams())
         assert np.array_equal(out.pixels, px)
 
     def test_order_is_affine_then_brightness_then_flips(self):

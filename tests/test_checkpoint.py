@@ -12,7 +12,6 @@ from tumorkit.checkpoint import (
     apply_weights,
     dump_weights,
     load_checkpoint,
-    load_weights,
     parse_weights,
     save_checkpoint,
     save_weights,
@@ -213,7 +212,7 @@ class TestApplyWeights:
         path = tmp_path / "w.nnck"
         save_checkpoint(src, path)
         dst = build_vgg_tiny(input_size=16)
-        load_weights(dst, path)
+        apply_weights(dst, load_checkpoint(path))
         for name, tensor in src.parameters().items():
             assert np.array_equal(dst.parameters()[name], tensor)
 

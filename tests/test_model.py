@@ -80,13 +80,6 @@ class TestVgg16Structure:
         sizes = spatial_sizes_at_convs(build_vgg16())
         assert sizes == [224, 224, 112, 112, 56, 56, 56, 28, 28, 28, 14, 14, 14]
 
-    def test_three_channel_variant(self):
-        m = build_vgg16(replicate_channels=3)
-        assert m.conv["conv1"].in_channels == 3
-        assert m.param_count() == VGG16_CONV_PARAMS + 2 * 64 * 9 + VGG16_HEAD_PARAMS
-        with pytest.raises(ValueError):
-            build_vgg16(replicate_channels=2)
-
     def test_parameter_table_is_network_ordered(self):
         names = list(build_vgg16().parameters())
         assert names[:4] == ["conv1.weight", "conv1.bias", "conv2.weight", "conv2.bias"]
@@ -213,13 +206,6 @@ class TestForward:
         c, _ = m.forward_logits(x, mode="train", rng=Rng(5))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
-
-    def test_single_channel_input_is_replicated(self):
-        m = build_vgg16(replicate_channels=3)  # zero weights are fine here
-        x = np.random.default_rng(156).normal(size=(1, 1, 224, 224)).astype(np.float32)
-        prepared = m._prepare_input(x)
-        assert prepared.shape == (1, 3, 224, 224)
-        assert np.array_equal(prepared[0, 0], prepared[0, 2])
 
     def test_input_validation(self):
         m = self.make_tiny()

@@ -425,6 +425,39 @@ class TestCliErrors:
         assert err.startswith("error: BadConfig: shift_fraction must be in [0, 1)")
 
     @pytest.mark.parametrize(
+        "train, problem",
+        [
+            ({"threshold": 300}, "threshold must be in [0, 255], got 300"),
+            ({"morph_iterations": -1}, "morph_iterations must be >= 0, got -1"),
+            ({"architecture": "vgg_tiny", "input_size": 0}, "positive multiple of 8, got 0"),
+        ],
+        ids=["threshold", "morph-iterations", "tiny-input-size"],
+    )
+    def test_out_of_range_train_value(self, blob_data, tmp_path, capsys, train, problem):
+        root, _ = blob_data
+        config = write_config(tmp_path / "c.json", train=train)
+        assert main(["preprocess", "--config", config, "--data-dir", str(root),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = stderr_error(capsys)
+        assert err.count("\n") == 1
+        assert err.startswith("error: BadConfig: ")
+        assert problem in err
+
+    def test_duplicate_manifest_path(self, blob_data, tmp_path, capsys):
+        _, manifest = blob_data
+        entry = manifest.entries[0]
+        split_dir = tmp_path / "splits"
+        split_dir.mkdir()
+        for name in SPLIT_FILES:
+            (split_dir / name).write_text(
+                f"path,label\n{entry.path},{entry.label}\n{entry.path},{entry.label}\n"
+            )
+        assert main(["train", "--out", str(tmp_path)]) == 1
+        err = stderr_error(capsys)
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: BadConfig: {split_dir / 'train.csv'} line 3: duplicate path")
+
+    @pytest.mark.parametrize(
         "row, problem",
         [
             ("a.pgm,maybe,0.5,yes", "label must be one of"),

@@ -5,19 +5,16 @@ import pytest
 
 from helpers import bbox_of, bfs_components, loop_dilate, loop_erode, loop_resize_bilinear
 from synth import crop_case
-from tumorkit.errors import NoForeground, ShapeMismatch
+from tumorkit.errors import NoForeground
 from tumorkit.pgm import GrayImage8
 from tumorkit.preprocess import (
     BinaryMask,
     CropBox,
     compute_crop_box,
     crop_and_resize,
-    crop_to_extremes,
     dilate,
     erode,
-    foreground_box,
     largest_component,
-    morphology,
     normalize_zscore,
     preprocess_image,
     resize_bilinear,
@@ -77,7 +74,8 @@ class TestMorphology:
 
     def test_zero_iterations_is_identity(self):
         bits = np.eye(5, dtype=bool)
-        assert morphology(BinaryMask(bits), "erode", 0).bits.tolist() == bits.tolist()
+        for op in (erode, dilate):
+            assert op(BinaryMask(bits), 0).bits.tolist() == bits.tolist()
 
     def test_opening_restores_big_square_and_kills_small(self):
         big = np.zeros((11, 11), dtype=bool)
@@ -91,42 +89,89 @@ class TestMorphology:
 
     def test_bad_arguments(self):
         m = mask_of([[True]])
-        with pytest.raises(ValueError):
-            morphology(m, "open", 1)
-        with pytest.raises(ValueError):
-            morphology(m, "erode", -1)
+        for op in (erode, dilate):
+            with pytest.raises(ValueError):
+                op(m, -1)
+
+
+def oracle_box(bits: np.ndarray) -> CropBox:
+    """Box of the first-largest BFS component; ``max`` keeps the first of
+    equal sizes, and the oracle lists components in row-major order."""
+    best = max(bfs_components(bits), key=lambda c: int(c.sum()))
+    top, bottom, left, right = bbox_of(best)
+    return CropBox(top=top, bottom=bottom, left=left, right=right)
+
+
+def serpentine(size: int = 256, corridor: int = 5) -> np.ndarray:
+    """Vertical corridors ``corridor`` px wide and apart, joined alternately
+    at the bottom and the top: one component whose row runs only merge
+    at the far ends of the scan."""
+    bits = np.zeros((size, size), dtype=bool)
+    pitch = 2 * corridor
+    lefts = range(0, size - corridor + 1, pitch)
+    for k, left in enumerate(lefts):
+        bits[:, left : left + corridor] = True
+        if left + pitch + corridor <= size:
+            rows = slice(size - corridor, size) if k % 2 == 0 else slice(0, corridor)
+            bits[rows, left : left + pitch + corridor] = True
+    return bits
 
 
 class TestLargestComponent:
     def test_matches_bfs_oracle(self):
         g = np.random.default_rng(21)
-        for _ in range(25):
-            bits = g.random((15, 15)) < 0.4
+        checked = ties = 0
+        for _ in range(200):
+            h, w = (int(v) for v in g.integers(1, 16, size=2))
+            bits = g.random((h, w)) < g.uniform(0.1, 0.9)
             if not bits.any():
                 continue
-            got = largest_component(BinaryMask(bits)).bits
-            comps = bfs_components(bits)
-            best = max(comps, key=lambda c: int(c.sum()))
-            # unique maximum only; ties are checked separately
-            sizes = sorted(int(c.sum()) for c in comps)
-            if len(sizes) >= 2 and sizes[-1] == sizes[-2]:
-                continue
-            assert np.array_equal(got, best)
+            sizes = sorted(int(c.sum()) for c in bfs_components(bits))
+            ties += len(sizes) >= 2 and sizes[-1] == sizes[-2]
+            assert largest_component(BinaryMask(bits)) == oracle_box(bits), bits.astype(int)
+            checked += 1
+        assert checked >= 150 and ties >= 10
+
+    @pytest.mark.parametrize(
+        "bits",
+        [
+            np.array([[0, 1, 1, 0, 1, 1, 1, 0, 1]], dtype=bool),  # 1xN
+            np.array([[1], [1], [0], [1], [1], [1], [0]], dtype=bool),  # Nx1
+            np.ones((6, 9), dtype=bool),  # all foreground
+            np.pad(np.ones((1, 1), dtype=bool), ((0, 3), (4, 0))),  # one corner pixel
+        ],
+        ids=["1xN", "Nx1", "full", "corner"],
+    )
+    def test_degenerate_shapes(self, bits):
+        assert largest_component(BinaryMask(bits)) == oracle_box(bits)
+
+    def test_border_touching_components(self):
+        bits = np.zeros((7, 8), dtype=bool)
+        bits[0, :3] = True  # top edge
+        bits[2:, 0] = True  # left edge, five pixels
+        bits[6, 3:] = True  # bottom edge, five pixels, joined to nothing
+        bits[1:5, 7] = True  # right edge
+        assert largest_component(BinaryMask(bits)) == oracle_box(bits)
+        assert largest_component(BinaryMask(bits)) == CropBox(top=2, bottom=6, left=0, right=0)
+
+    def test_serpentine_is_one_component(self):
+        bits = serpentine()
+        box = largest_component(BinaryMask(bits))
+        assert box == oracle_box(bits)
+        assert box == CropBox(top=0, bottom=255, left=0, right=254)
 
     def test_tie_goes_to_first_in_row_major_order(self):
         bits = np.zeros((5, 9), dtype=bool)
         bits[1, 1:3] = True  # first 2-pixel component
         bits[3, 6:8] = True  # second, same size, later scan position
-        kept = largest_component(BinaryMask(bits)).bits
-        assert kept[1, 1] and kept[1, 2]
-        assert kept.sum() == 2
+        assert largest_component(BinaryMask(bits)) == CropBox(top=1, bottom=1, left=1, right=2)
 
     def test_diagonal_pixels_are_one_component(self):
-        bits = np.eye(4, dtype=bool)
-        bits[0, 3] = True  # isolated corner, not diagonal-adjacent to the chain
-        kept = largest_component(BinaryMask(bits))
-        assert kept.count() == 4
-        assert not kept.bits[0, 3]
+        bits = np.zeros((4, 6), dtype=bool)
+        bits[:, :4] = np.eye(4, dtype=bool)
+        bits[0, 5] = True  # isolated, and outside the chain's box
+        # 4-connectivity would give (0, 0, 0, 0), the whole foreground (0, 3, 0, 5)
+        assert largest_component(BinaryMask(bits)) == CropBox(top=0, bottom=3, left=0, right=3)
 
     def test_empty_mask_raises(self):
         with pytest.raises(NoForeground):
@@ -135,25 +180,21 @@ class TestLargestComponent:
 
 class TestCrop:
     def test_foreground_box_extremes(self):
-        bits = np.zeros((6, 7), dtype=bool)
-        bits[2, 1] = bits[4, 5] = True
-        assert foreground_box(BinaryMask(bits)) == CropBox(top=2, bottom=4, left=1, right=5)
-
-    def test_foreground_box_empty(self):
-        with pytest.raises(NoForeground):
-            foreground_box(mask_of(np.zeros((2, 2), dtype=bool)))
+        # a diamond plus a pixel joined to it diagonally: top, bottom, left
+        # and right each come from a different row run
+        bits = np.zeros((7, 9), dtype=bool)
+        for r, half in enumerate((0, 1, 2, 3, 2, 1, 0)):
+            bits[r, 4 - half : 5 + half] = True
+        bits[4, 0] = True  # touches (3, 1) only at a corner
+        assert largest_component(BinaryMask(bits)) == CropBox(top=0, bottom=6, left=0, right=7)
 
     def test_crop_to_extremes(self):
-        img = gray(np.arange(30).reshape(5, 6))
-        bits = np.zeros((5, 6), dtype=bool)
-        bits[1, 2] = bits[3, 4] = True
-        out = crop_to_extremes(img, BinaryMask(bits))
-        assert out.pixels.tolist() == img.pixels[1:4, 2:5].tolist()
-
-    def test_crop_shape_mismatch(self):
-        img = gray([[1, 2], [3, 4]])
-        with pytest.raises(ShapeMismatch):
-            crop_to_extremes(img, mask_of(np.ones((3, 3), dtype=bool)))
+        img = gray(np.zeros((12, 14)))
+        inside = 60 + np.arange(64).reshape(8, 8)  # above the threshold, survives the opening
+        img.pixels[2:10, 5:13] = inside
+        assert compute_crop_box(img) == CropBox(top=2, bottom=9, left=5, right=12)
+        # resizing to the box's own size is the identity, so this is the crop itself
+        assert np.array_equal(crop_and_resize(img, out_size=8).pixels, inside)
 
     def test_crop_box_validation(self):
         with pytest.raises(ValueError):
