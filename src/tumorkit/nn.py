@@ -8,8 +8,24 @@ inputs and the output cotangent and return exact gradients.
 
 Convolution is cross-correlation (no kernel flip) with a fixed 3x3
 kernel, stride 1, and zero padding 1, so spatial size is preserved.
-Pooling is 2x2 max with stride 2.  Dropout is inverted (survivors are
-scaled at train time; evaluation is the identity).
+Every convolution product is one matrix multiply against a patch matrix
+(im2col; Chellapilla, Puri & Simard 2006): the zero-padded 3x3 patches
+of an [N, C, H, W] input laid out channel-major as a C-contiguous
+[C*9, N*H*W] matrix, rows ordered (c, ky, kx) and columns (n, h, w).
+It is filled by nine shifted copies whose innermost runs are whole image
+rows.  The forward pass is weight [O, C*9] times the patches of x, the
+weight gradient is dy [O, N*H*W] times their transpose, and the input
+gradient is the flipped, channel-swapped weight [C, O*9] times the
+patches of dy.
+
+Pooling is 2x2 max with stride 2, taken pairwise over the four strided
+phases of the input.  The routing code of a window is its argmax in
+row-major order (0 top-left, 1 top-right, 2 bottom-left, 3 bottom-right)
+and ties go to the first position: the bottom row wins only if its max
+is strictly greater than the top row's, and within a row the right
+element wins only if it is strictly greater than the left.  Dropout is
+inverted (survivors are scaled at train time; evaluation is the
+identity).
 """
 
 from __future__ import annotations
@@ -18,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BadTargets, InvalidProbability, OddSpatialDim, ShapeMismatch
 from .rng import Rng
@@ -80,14 +95,32 @@ def _check_nchw(x: np.ndarray, channels: int, op: str) -> None:
         raise ShapeMismatch(f"{op} expects {channels} channels, got {x.shape[1]}")
 
 
+def _columns(x: np.ndarray) -> np.ndarray:
+    """Zero-padded 3x3 patches of ``x`` [N, C, H, W] as a C-contiguous
+    [C*9, N*H*W] matrix: rows ordered (c, ky, kx), columns (n, h, w)."""
+    n, c, h, w = x.shape
+    xp = np.zeros((c, n, h + 2 * PAD, w + 2 * PAD), dtype=x.dtype)
+    xp[:, :, PAD : PAD + h, PAD : PAD + w] = x.transpose(1, 0, 2, 3)
+    cols = np.empty((c, KERNEL, KERNEL, n, h, w), dtype=x.dtype)
+    for ky in range(KERNEL):
+        for kx in range(KERNEL):
+            cols[:, ky, kx] = xp[:, :, ky : ky + h, kx : kx + w]
+    return cols.reshape(c * KERNEL * KERNEL, n * h * w)
+
+
+def _to_nchw(y: np.ndarray, n: int, h: int, w: int, dtype) -> np.ndarray:
+    """[C, N*H*W] kernel output back to a contiguous [N, C, H, W] array."""
+    y = y.reshape(-1, n, h, w).transpose(1, 0, 2, 3)
+    return np.ascontiguousarray(y).astype(dtype, copy=False)
+
+
 def conv2d_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
     """Cross-correlate ``x`` [N, C, H, W] with the layer kernel, add bias."""
     _check_nchw(x, layer.in_channels, "conv2d")
-    xp = np.pad(x, ((0, 0), (0, 0), (PAD, PAD), (PAD, PAD)))
-    windows = sliding_window_view(xp, (KERNEL, KERNEL), axis=(2, 3))  # [N,C,H,W,3,3]
-    y = np.tensordot(windows, layer.weight, axes=([1, 4, 5], [1, 2, 3]))  # [N,H,W,out]
-    y = np.moveaxis(y, 3, 1)
-    return np.ascontiguousarray(y + layer.bias[None, :, None, None]).astype(x.dtype, copy=False)
+    n, _, h, w = x.shape
+    y = layer.weight.reshape(layer.out_channels, -1) @ _columns(x)  # [out, N*H*W]
+    y += layer.bias[:, None]
+    return _to_nchw(y, n, h, w, x.dtype)
 
 
 def conv2d_param_grads(
@@ -102,9 +135,8 @@ def conv2d_param_grads(
     expected = (x.shape[0], layer.out_channels, x.shape[2], x.shape[3])
     if dy.shape != expected:
         raise ShapeMismatch(f"dy shape {dy.shape}, expected {expected}")
-    xp = np.pad(x, ((0, 0), (0, 0), (PAD, PAD), (PAD, PAD)))
-    windows = sliding_window_view(xp, (KERNEL, KERNEL), axis=(2, 3))
-    dw = np.tensordot(dy, windows, axes=([0, 2, 3], [0, 2, 3]))  # [out, C, 3, 3]
+    dy_rows = dy.transpose(1, 0, 2, 3).reshape(layer.out_channels, -1)  # [out, N*H*W]
+    dw = (dy_rows @ _columns(x).T).reshape(layer.weight.shape)
     db = dy.sum(axis=(0, 2, 3))
     return dw.astype(layer.weight.dtype, copy=False), db.astype(layer.bias.dtype, copy=False)
 
@@ -115,17 +147,14 @@ def conv2d_backward(
     """Gradients (dx, dw, db) of :func:`conv2d_forward`.
 
     dw and db come from :func:`conv2d_param_grads`, so they are the same
-    bits whether or not dx is wanted.
+    bits whether or not dx is wanted.  dx is the correlation of dy,
+    padded by 1, with the flipped kernel, channels in and out swapped.
     """
     dw, db = conv2d_param_grads(x, layer, dy)
-    # dx is the "full" correlation of dy with the flipped kernel
-    dyp = np.pad(dy, ((0, 0), (0, 0), (KERNEL - 1, KERNEL - 1), (KERNEL - 1, KERNEL - 1)))
-    dy_windows = sliding_window_view(dyp, (KERNEL, KERNEL), axis=(2, 3))
-    w_flip = layer.weight[:, :, ::-1, ::-1]
-    dxp = np.tensordot(dy_windows, w_flip, axes=([1, 4, 5], [0, 2, 3]))  # [N,H+2,W+2,C]
-    dxp = np.moveaxis(dxp, 3, 1)
-    dx = dxp[:, :, PAD : PAD + x.shape[2], PAD : PAD + x.shape[3]]
-    return np.ascontiguousarray(dx).astype(x.dtype, copy=False), dw, db
+    n, c, h, w = x.shape
+    w_flip = layer.weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+    dx = w_flip @ _columns(dy)  # [C, N*H*W]
+    return _to_nchw(dx, n, h, w, x.dtype), dw, db
 
 
 def maxpool2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -136,14 +165,16 @@ def maxpool2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     if x.ndim != 4:
         raise ShapeMismatch(f"maxpool2 expects [N, C, H, W], got {x.shape}")
-    n, c, h, w = x.shape
+    h, w = x.shape[2:]
     if h % 2 or w % 2:
         raise OddSpatialDim(f"spatial dims must be even, got {h}x{w}")
-    tiles = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    flat = tiles.reshape(n, c, h // 2, w // 2, 4)
-    routing = flat.argmax(axis=-1).astype(np.int8)  # first max in row-major order
-    y = np.take_along_axis(flat, routing[..., None].astype(np.intp), axis=-1)[..., 0]
-    return np.ascontiguousarray(y), routing
+    a, b = x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2]
+    c, d = x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2]
+    top, bottom = np.maximum(a, b), np.maximum(c, d)
+    # strict comparisons send ties to the earlier position
+    low = bottom > top
+    routing = (2 * low + np.where(low, d > c, b > a)).astype(np.int8)
+    return np.maximum(top, bottom), routing
 
 
 def maxpool2_backward(routing: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -151,10 +182,10 @@ def maxpool2_backward(routing: np.ndarray, dy: np.ndarray) -> np.ndarray:
     if dy.shape != routing.shape:
         raise ShapeMismatch(f"dy shape {dy.shape} vs routing {routing.shape}")
     n, c, h2, w2 = dy.shape
-    flat = np.zeros((n, c, h2, w2, 4), dtype=dy.dtype)
-    np.put_along_axis(flat, routing[..., None].astype(np.intp), dy[..., None], axis=-1)
-    dx = flat.reshape(n, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    return np.ascontiguousarray(dx.reshape(n, c, h2 * 2, w2 * 2))
+    dx = np.empty((n, c, h2, 2, w2, 2), dtype=dy.dtype)
+    for k in range(4):
+        np.multiply(dy, routing == k, out=dx[:, :, :, k // 2, :, k % 2])
+    return dx.reshape(n, c, h2 * 2, w2 * 2)
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:

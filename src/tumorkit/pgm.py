@@ -9,11 +9,14 @@ converted to PGM externally.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .errors import BadMagic, HeaderParse, Truncated
 
-_WHITESPACE = b" \t\n\r\x0b\x0c"
+_WHITESPACE = b" \t\n\r\x0b\x0c"  # the bytes ``bytes.split()`` splits on
+_COMMENT = re.compile(rb"#[^\n]*")
 
 
 class GrayImage8:
@@ -116,19 +119,22 @@ def read_pgm(data: bytes) -> GrayImage8:
         pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
         return GrayImage8(pixels.copy())
 
-    values = np.empty(count, dtype=np.uint8)
-    for i in range(count):
-        token = tok.next_token()
-        if token is None:
-            raise Truncated(f"payload has {i} of {count} samples")
-        try:
-            v = int(token)
-        except ValueError:
-            raise HeaderParse(f"invalid pixel: {token!r}") from None
-        if not 0 <= v <= 255:
-            raise HeaderParse(f"sample value {v} out of range [0, 255]")
-        values[i] = v
+    # comments run from '#' to the end of the line; tokens past ``count`` are ignored
+    tokens = _COMMENT.sub(b" ", data[tok.pos :]).split()[:count]
+    values = np.array([_sample(token) for token in tokens], dtype=np.uint8)
+    if len(values) < count:
+        raise Truncated(f"payload has {len(values)} of {count} samples")
     return GrayImage8(values.reshape(height, width))
+
+
+def _sample(token: bytes) -> int:
+    try:
+        value = int(token)
+    except ValueError:
+        raise HeaderParse(f"invalid pixel: {token!r}") from None
+    if not 0 <= value <= 255:
+        raise HeaderParse(f"sample value {value} out of range [0, 255]")
+    return value
 
 
 def write_pgm(img: GrayImage8) -> bytes:

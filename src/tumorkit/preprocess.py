@@ -20,10 +20,10 @@ the network.  Training augmentation slots between 5 and 6, which is why
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NoForeground
 from .pgm import GrayImage8, image_to_tensor
@@ -98,26 +98,29 @@ def threshold(img: GrayImage8, t: int = DEFAULT_THRESHOLD) -> BinaryMask:
     return BinaryMask(img.pixels > t)
 
 
-def _window_reduce(mask: BinaryMask, iterations: int, reduce) -> BinaryMask:
-    """Apply ``reduce`` (``np.all`` or ``np.any``) over every 3x3 window,
-    ``iterations`` times; pixels outside the image are background."""
+def _window_reduce(mask: BinaryMask, iterations: int, combine) -> BinaryMask:
+    """Combine (``&`` or ``|``) every 3x3 window, ``iterations`` times, as a
+    1x3 pass then a 3x1 pass; pixels outside the image are background."""
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     bits = mask.bits
+    h, w = bits.shape
     for _ in range(iterations):
-        padded = np.pad(bits, 1, constant_values=False)
-        bits = reduce(sliding_window_view(padded, (3, 3)), axis=(-2, -1))
+        padded = np.zeros((h + 2, w + 2), dtype=bool)
+        padded[1:-1, 1:-1] = bits
+        rows = combine(combine(padded[:, :-2], padded[:, 1:-1]), padded[:, 2:])
+        bits = combine(combine(rows[:-2], rows[1:-1]), rows[2:])
     return BinaryMask(bits)
 
 
 def erode(mask: BinaryMask, iterations: int = 1) -> BinaryMask:
     """Erode with a fixed 3x3 square element, ``iterations`` times."""
-    return _window_reduce(mask, iterations, np.all)
+    return _window_reduce(mask, iterations, operator.and_)
 
 
 def dilate(mask: BinaryMask, iterations: int = 1) -> BinaryMask:
     """Dilate with a fixed 3x3 square element, ``iterations`` times."""
-    return _window_reduce(mask, iterations, np.any)
+    return _window_reduce(mask, iterations, operator.or_)
 
 
 def largest_component(mask: BinaryMask) -> CropBox:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 # --- convolution / pooling -------------------------------------------------
@@ -33,6 +34,33 @@ def naive_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
                                     acc += float(x[ni, ci, sy, sx]) * float(w[oc, ci, ky, kx])
                     y[ni, oc, yy, xx] = acc
     return y
+
+
+def naive_conv2d_backward(
+    x: np.ndarray, w: np.ndarray, dy: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dx, dw, db) of :func:`naive_conv2d`, scattering each output's
+    cotangent over the taps that produced it."""
+    n, c, h, wd = x.shape
+    out_ch = w.shape[0]
+    dx = np.zeros(x.shape, dtype=np.float64)
+    dw = np.zeros(w.shape, dtype=np.float64)
+    db = np.zeros(out_ch, dtype=np.float64)
+    for ni in range(n):
+        for oc in range(out_ch):
+            for yy in range(h):
+                for xx in range(wd):
+                    g = float(dy[ni, oc, yy, xx])
+                    db[oc] += g
+                    for ci in range(c):
+                        for ky in range(3):
+                            for kx in range(3):
+                                sy = yy + ky - 1
+                                sx = xx + kx - 1
+                                if 0 <= sy < h and 0 <= sx < wd:
+                                    dx[ni, ci, sy, sx] += g * float(w[oc, ci, ky, kx])
+                                    dw[oc, ci, ky, kx] += g * float(x[ni, ci, sy, sx])
+    return dx, dw, db
 
 
 def naive_maxpool2(x: np.ndarray) -> np.ndarray:
@@ -110,6 +138,16 @@ def loop_dilate(mask: np.ndarray, iterations: int = 1) -> np.ndarray:
     return out
 
 
+def window_reduce(mask: np.ndarray, iterations: int, reduce) -> np.ndarray:
+    """``reduce`` (``np.all`` erodes, ``np.any`` dilates) over every 3x3
+    window of the False-padded mask, ``iterations`` times."""
+    bits = mask.astype(bool)
+    for _ in range(iterations):
+        padded = np.pad(bits, 1, constant_values=False)
+        bits = reduce(sliding_window_view(padded, (3, 3)), axis=(-2, -1))
+    return bits
+
+
 def bfs_components(mask: np.ndarray) -> list[np.ndarray]:
     """All 8-connected components as boolean masks, BFS, scan order."""
     mask = mask.astype(bool)
@@ -139,6 +177,63 @@ def bbox_of(mask: np.ndarray) -> tuple[int, int, int, int]:
     """(top, bottom, left, right), inclusive, of the true pixels."""
     ys, xs = np.nonzero(mask)
     return int(ys.min()), int(ys.max()), int(xs.min()), int(xs.max())
+
+
+# --- PGM -------------------------------------------------------------------
+
+_PGM_SPACE = b" \t\n\r\x0b\x0c"
+
+
+def tokenwise_read_p2(data: bytes) -> tuple[str, np.ndarray | None]:
+    """Decode a P2 file one token at a time, scanning byte by byte.
+
+    Returns ("ok", pixels) or (error class name, None).  Tokens end at
+    whitespace or ``#``; a ``#`` starts a comment that runs to the end
+    of the line; tokens after the last sample are ignored.
+    """
+    pos = 2
+
+    def token():
+        nonlocal pos
+        while pos < len(data):
+            ch = data[pos : pos + 1]
+            if ch == b"#":
+                while pos < len(data) and data[pos : pos + 1] != b"\n":
+                    pos += 1
+            elif ch in _PGM_SPACE:
+                pos += 1
+            else:
+                break
+        start = pos
+        while pos < len(data) and data[pos : pos + 1] not in _PGM_SPACE + b"#":
+            pos += 1
+        return data[start:pos] or None
+
+    if data[:2] != b"P2":
+        return "BadMagic", None
+    header = []
+    for _ in range(3):
+        tok = token()
+        try:
+            header.append(int(tok))
+        except (TypeError, ValueError):
+            return "HeaderParse", None
+    width, height, maxval = header
+    if width < 1 or height < 1 or maxval != 255:
+        return "HeaderParse", None
+    values = []
+    for _ in range(width * height):
+        tok = token()
+        if tok is None:
+            return "Truncated", None
+        try:
+            v = int(tok)
+        except ValueError:
+            return "HeaderParse", None
+        if not 0 <= v <= 255:
+            return "HeaderParse", None
+        values.append(v)
+    return "ok", np.array(values, dtype=np.uint8).reshape(height, width)
 
 
 # --- image resampling ------------------------------------------------------

@@ -1,11 +1,18 @@
 """Forward/backward correctness of the network building blocks."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from helpers import central_diff, max_rel_err, naive_conv2d, naive_maxpool2
+from helpers import (
+    central_diff,
+    max_rel_err,
+    naive_conv2d,
+    naive_conv2d_backward,
+    naive_maxpool2,
+)
 from tumorkit.errors import BadTargets, InvalidProbability, OddSpatialDim, ShapeMismatch
 from tumorkit.nn import (
     AdamState,
@@ -92,6 +99,33 @@ class TestConv:
         num_dw = central_diff(loss_of_w, layer.weight)
         assert max_rel_err(dw, num_dw) < 1e-6
 
+    def test_backward_matches_nested_loops(self):
+        g = np.random.default_rng(87)
+        # (n, c, out, h, w): general, H = 1, W = 1, N = C = 1
+        for n, c, out, h, w in [(2, 3, 4, 5, 4), (2, 2, 3, 1, 5), (2, 3, 2, 4, 1), (1, 1, 3, 4, 4)]:
+            x = g.normal(size=(n, c, h, w))
+            layer = conv_layer(out, c, g)
+            dy = g.normal(size=(n, out, h, w))
+            self.check_backward(x, layer, dy)
+
+    def test_backward_of_strided_x_and_broadcast_dy(self):
+        g = np.random.default_rng(88)
+        x = g.normal(size=(2, 3, 6, 5)).transpose(0, 1, 3, 2)  # a non-contiguous view
+        layer = conv_layer(4, 3, g)
+        assert max_rel_err(conv2d_forward(x, layer), naive_conv2d(x, layer.weight, layer.bias)) < 1e-12
+        self.check_backward(x, layer, g.normal(size=(2, 4, 5, 6)))
+        dy = np.broadcast_to(g.normal(size=(1, 4, 1, 6)), (2, 4, 5, 6))
+        self.check_backward(x, layer, dy)
+
+    @staticmethod
+    def check_backward(x, layer, dy):
+        dx, dw, db = conv2d_backward(x, layer, dy)
+        want_dx, want_dw, want_db = naive_conv2d_backward(x, layer.weight, dy)
+        assert dx.shape == x.shape and dw.shape == layer.weight.shape
+        assert np.abs(dx - want_dx).max() < 1e-10
+        assert np.abs(dw - want_dw).max() < 1e-10
+        assert np.abs(db - want_db).max() < 1e-10
+
     def test_param_grads_are_the_bits_of_the_full_backward(self):
         g = np.random.default_rng(86)
         x = g.normal(size=(3, 2, 6, 6)).astype(np.float32)
@@ -155,6 +189,31 @@ class TestMaxPool:
         dy = g.normal(size=(2, 2, 3, 4))
         dx = maxpool2_backward(routing, dy)
         assert math.isclose(float(dx.sum()), float(dy.sum()), rel_tol=1e-12)
+
+    def test_every_window_over_three_levels(self):
+        # all 81 2x2 windows over {0, 1, 2}, laid out as [3, 3, 6, 6]
+        windows = np.array(list(itertools.product((0.0, 1.0, 2.0), repeat=4)))
+        x = windows.reshape(3, 3, 3, 3, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(3, 3, 6, 6)
+        first_argmax = [list(v).index(max(v)) for v in windows]
+        dy = np.arange(1.0, 82.0).reshape(3, 3, 3, 3)
+        want_dx = np.zeros((81, 4))
+        want_dx[np.arange(81), first_argmax] = dy.reshape(-1)
+        want_dx = want_dx.reshape(3, 3, 3, 3, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(x.shape)
+
+        y, routing = maxpool2(x)
+        assert np.array_equal(y, naive_maxpool2(x))
+        assert routing.reshape(-1).tolist() == first_argmax
+        assert np.array_equal(maxpool2_backward(routing, dy), want_dx)
+
+    def test_all_zero_windows_after_relu(self):
+        g = np.random.default_rng(93)
+        x = relu(-np.abs(g.normal(size=(2, 3, 4, 6))))
+        y, routing = maxpool2(x)
+        assert not y.any() and not routing.any()
+        dy = g.normal(size=y.shape)
+        dx = maxpool2_backward(routing, dy)
+        assert np.array_equal(dx[:, :, 0::2, 0::2], dy)
+        assert not dx[:, :, 1::2].any() and not dx[:, :, :, 1::2].any()
 
     def test_odd_size_rejected(self):
         with pytest.raises(OddSpatialDim):

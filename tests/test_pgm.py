@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from helpers import tokenwise_read_p2
 from tumorkit.errors import BadMagic, HeaderParse, Truncated
 from tumorkit.pgm import GrayImage8, image_to_tensor, read_pgm, write_pgm
 
@@ -73,6 +76,50 @@ class TestReadAscii:
     def test_non_numeric_sample(self):
         with pytest.raises(HeaderParse):
             read_pgm(b"P2\n1 1\n255\nabc\n")
+
+
+    def test_trailing_tokens_ignored(self):
+        img = read_pgm(b"P2\n1 1\n255\n+5 junk 999\n")
+        assert img.pixels.tolist() == [[5]]
+
+
+# a raster token is a valid sample, a sign or digit separator Python's
+# int() accepts, a value out of range, or garbage
+SAMPLE = st.one_of(
+    st.integers(0, 255).map(lambda v: str(v).encode()),
+    st.sampled_from([b"+5", b"1_0", b"-0", b"007", b"256", b"999", b"-1", b"abc", b"0x1", b"1.0"]),
+)
+# separators: whitespace runs, or comments that end at a newline
+SEPARATOR = st.one_of(
+    st.lists(st.sampled_from(list(b" \t\n\r\x0b\x0c")), min_size=1, max_size=3).map(bytes),
+    st.sampled_from([b"#\n", b" # note 12 34\n", b"#x#y\r\n", b"\n#  \n\n"]),
+)
+
+
+@st.composite
+def p2_files(draw):
+    width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    tokens = draw(st.lists(SAMPLE, max_size=width * height + 3))
+    data = b"P2\n%d %d\n255" % (width, height)
+    for token in tokens:
+        data += draw(SEPARATOR) + token
+    return data + draw(st.sampled_from([b"", b"\n", b" #tail"]))
+
+
+class TestAsciiAgainstTokenwiseDecoder:
+    @settings(max_examples=400, deadline=None)
+    @given(p2_files())
+    @example(b"P2\n2 1\n255\n+5 1_0")
+    @example(b"P2\n2 2\n255\n1#c\n2 3")
+    @example(b"P2\n1 1\n255 #c")
+    def test_same_pixels_or_same_error(self, data):
+        outcome, pixels = tokenwise_read_p2(data)
+        if outcome == "ok":
+            assert np.array_equal(read_pgm(data).pixels, pixels)
+        else:
+            with pytest.raises((HeaderParse, Truncated)) as caught:
+                read_pgm(data)
+            assert type(caught.value).__name__ == outcome
 
 
 class TestWrite:

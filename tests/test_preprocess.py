@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from helpers import bbox_of, bfs_components, loop_dilate, loop_erode, loop_resize_bilinear
+from helpers import (
+    bbox_of,
+    bfs_components,
+    loop_dilate,
+    loop_erode,
+    loop_resize_bilinear,
+    window_reduce,
+)
 from synth import crop_case
 from tumorkit.errors import NoForeground
 from tumorkit.pgm import GrayImage8
@@ -62,6 +69,17 @@ class TestMorphology:
             for iters in (1, 2):
                 got = dilate(BinaryMask(bits), iters).bits
                 assert np.array_equal(got, loop_dilate(bits, iters))
+
+    def test_matches_sliding_window_form(self):
+        g = np.random.default_rng(13)
+        for _ in range(150):
+            h, w = (int(v) for v in g.integers(1, 41, size=2))
+            bits = g.random((h, w)) < g.uniform(0.2, 0.9)
+            iters = int(g.integers(0, 4))
+            assert np.array_equal(erode(BinaryMask(bits), iters).bits,
+                                  window_reduce(bits, iters, np.all))
+            assert np.array_equal(dilate(BinaryMask(bits), iters).bits,
+                                  window_reduce(bits, iters, np.any))
 
     def test_outside_counts_as_background(self):
         # a lone corner pixel touches the border, so one erosion kills it
