@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
+import typing
 from pathlib import Path
 
-from .augment import AugmentConfig
 from .dataset import (
     DatasetManifest,
     SplitConfig,
@@ -55,26 +56,49 @@ from .train import (
 SPLIT_FILES = ("train.csv", "val.csv", "test.csv")
 
 
-def _from_mapping(cls, data: dict, context: str):
-    """Build a config dataclass from JSON, rejecting unknown keys."""
+_JSON_TYPES = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
+               type(None): "null"}
+# resolving the string annotations costs several times the rest of a config load,
+# and their types never change: resolve each class once
+_type_hints = functools.cache(typing.get_type_hints)
+
+
+def _fits(allowed: tuple[type, ...], value) -> bool:
+    """Whether a JSON value has one of a config field's types: an integer
+    field takes integers but not booleans, a float field takes any number."""
+    if isinstance(value, bool):
+        return bool in allowed
+    return isinstance(value, allowed + ((int,) if float in allowed else ()))
+
+
+def _from_mapping(cls, data, context: str, overrides: dict):
+    """Build a config dataclass from a JSON object, rejecting unknown keys
+    and values of the wrong type; nested config objects are built the same
+    way.  ``overrides`` are applied last, unchecked."""
     if not isinstance(data, dict):
         raise BadConfig(f"{context} must be a JSON object, got {type(data).__name__}")
-    valid = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - valid)
+    hints = _type_hints(cls)  # field name -> type
+    unknown = sorted(set(data) - set(hints))
     if unknown:
         raise BadConfig(f"{context} has unknown keys: {', '.join(unknown)}")
-    try:
-        return cls(**data)
-    except TypeError as exc:
-        raise BadConfig(f"{context}: {exc}") from exc
+    fields = {}
+    for key, value in data.items():
+        hint = hints[key]
+        allowed = typing.get_args(hint) or (hint,)  # str | None -> (str, NoneType)
+        if dataclasses.is_dataclass(hint):
+            value = _from_mapping(hint, value, f"{context}.{key}", {})
+        elif not _fits(allowed, value):
+            want = " or ".join(_JSON_TYPES[t] for t in allowed)
+            raise BadConfig(f"{context}.{key} must be {want}, got {json.dumps(value)}")
+        fields[key] = value
+    return cls(**{**fields, **overrides})
 
 
 def load_configs(
     config_path: str | None, seed: int | None
 ) -> tuple[SplitConfig, TrainConfig]:
     """Read the JSON config (if any) and apply the seed override."""
-    split_data: dict = {}
-    train_data: dict = {}
+    doc: dict = {}
     if config_path is not None:
         try:
             doc = json.loads(Path(config_path).read_text())
@@ -85,16 +109,9 @@ def load_configs(
         unknown = sorted(set(doc) - {"split", "train"})
         if unknown:
             raise BadConfig(f"config has unknown sections: {', '.join(unknown)}")
-        split_data = dict(doc.get("split", {}))
-        train_data = dict(doc.get("train", {}))
-    augment_data = train_data.pop("augment", None)
-    if augment_data is not None:
-        train_data["augment"] = _from_mapping(AugmentConfig, augment_data, "train.augment")
-    if seed is not None:
-        split_data["seed"] = seed
-        train_data["seed"] = seed
-    split_cfg = _from_mapping(SplitConfig, split_data, "split")
-    train_cfg = _from_mapping(TrainConfig, train_data, "train")
+    overrides = {} if seed is None else {"seed": seed}
+    split_cfg = _from_mapping(SplitConfig, doc.get("split", {}), "split", overrides)
+    train_cfg = _from_mapping(TrainConfig, doc.get("train", {}), "train", overrides)
     return split_cfg, train_cfg
 
 

@@ -1,11 +1,13 @@
 """Network assembly: layer graphs, weight init, freezing, forward/backward.
 
-A :class:`Model` is an ordered list of :class:`LayerSpec` nodes plus the
-instantiated parameter tensors for the conv and dense nodes.  Two
-builders are provided: ``build_vgg16`` (13 conv layers in five blocks,
-global average pooling in place of the fifth max-pool, then a dropout
-and dense head) and ``build_vgg_tiny`` (a three-block miniature with the
-same layer kinds, small enough to train in seconds).
+A :class:`Model` is an ordered list of :class:`LayerSpec` nodes plus one
+table, ``layers``, that maps each conv and dense node's name to its
+parameter layer in network order; every walk over the parameters
+(``parameters``, ``init_weights``, ``apply_freeze_policy``) reads that
+table.  Two builders are provided: ``build_vgg16`` (13 conv layers in
+five blocks, global average pooling in place of the fifth max-pool, then
+a dropout and dense head) and ``build_vgg_tiny`` (a three-block
+miniature with the same layer kinds, small enough to train in seconds).
 
 The nodes before the first trainable (not ``frozen``) layer form the
 trunk; the rest, up to the softmax, form the head.  ``forward_logits``
@@ -13,7 +15,9 @@ runs both but records a trace of per-node caches for the head only, so
 trunk activations are freed as soon as the next node has used them;
 ``forward`` keeps no trace at all.  ``backward`` consumes the trace in
 reverse, stops at the first trainable layer, and returns a gradient
-table keyed like ``parameters()`` ("conv1.weight", "dense2.bias", ...).
+table keyed like ``parameters()`` ("conv1.weight", "dense2.bias", ...)
+holding only the layers not ``frozen``.  That table is the one place
+freezing is decided: the optimizer updates exactly what it names.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import numpy as np
 
 from . import nn
 from .errors import ShapeMismatch
+from .metrics import CLASSES
 from .rng import Rng
 
 FREEZE_NONE = "none"
@@ -38,62 +43,58 @@ class LayerSpec:
 
     ``kind`` is one of conv, relu, maxpool, gap, dense, dropout,
     softmax.  ``name`` is set only for parameterized kinds (conv,
-    dense); ``width`` is the conv output-channel or dense output-feature
-    count; ``p`` is the dropout probability.
+    dense) and keys the layer in ``Model.layers``; ``p`` is the dropout
+    probability.
     """
 
     kind: str
     name: str | None = None
-    width: int | None = None
     p: float | None = None
 
 
 class Model:
-    """Sequential network with named conv/dense parameter tensors."""
+    """Sequential network: ``specs`` is the node list and ``layers`` maps
+    each conv and dense node's name to its parameters, in network order.
+
+    A layer's ``frozen`` flag is the only record of whether it trains:
+    :attr:`trunk_end` and :meth:`backward` read it, and :meth:`backward`
+    returns gradients for the layers not frozen and no others.
+    """
 
     def __init__(
         self,
         specs: list[LayerSpec],
-        conv: dict[str, nn.ConvLayer],
-        dense: dict[str, nn.DenseLayer],
+        layers: dict[str, nn.ConvLayer | nn.DenseLayer],
         input_size: int,
-        arch: str = "custom",
+        arch: str,
     ):
         if specs[-1].kind != "softmax":
             raise ValueError("layer list must end with softmax")
         self.specs = specs
-        self.conv = conv
-        self.dense = dense
+        self.layers = layers
         self.input_size = input_size
         self.arch = arch
 
     def layer(self, name: str) -> nn.ConvLayer | nn.DenseLayer:
-        return self.conv[name] if name in self.conv else self.dense[name]
+        return self.layers[name]
 
     def parameters(self) -> dict[str, np.ndarray]:
         """Name -> tensor view, in network order (insertion-ordered)."""
         table: dict[str, np.ndarray] = {}
-        for spec in self.specs:
-            if spec.kind in ("conv", "dense"):
-                layer = self.layer(spec.name)
-                table[f"{spec.name}.weight"] = layer.weight
-                table[f"{spec.name}.bias"] = layer.bias
+        for name, layer in self.layers.items():
+            table[f"{name}.weight"] = layer.weight
+            table[f"{name}.bias"] = layer.bias
         return table
 
-    def frozen_param_names(self) -> frozenset[str]:
-        frozen = set()
-        for name, layer in list(self.conv.items()) + list(self.dense.items()):
-            if layer.frozen:
-                frozen.add(f"{name}.weight")
-                frozen.add(f"{name}.bias")
-        return frozenset(frozen)
-
     def param_count(self) -> int:
-        return sum(p.size for p in self.parameters().values())
+        return sum(layer.weight.size + layer.bias.size for layer in self.layers.values())
 
     def trainable_param_count(self) -> int:
-        frozen = self.frozen_param_names()
-        return sum(p.size for n, p in self.parameters().items() if n not in frozen)
+        return sum(
+            layer.weight.size + layer.bias.size
+            for layer in self.layers.values()
+            if not layer.frozen
+        )
 
     def _check_input(self, batch: np.ndarray) -> None:
         if batch.ndim != 4:
@@ -115,7 +116,7 @@ class Model:
         up to the softmax.
         """
         for i, spec in enumerate(self.specs):
-            if spec.kind in ("conv", "dense") and not self.layer(spec.name).frozen:
+            if spec.name is not None and not self.layers[spec.name].frozen:
                 return i
         return len(self.specs) - 1
 
@@ -123,7 +124,7 @@ class Model:
         """Run one node; return (output, the cache its backward needs)."""
         kind = spec.kind
         if kind == "conv":
-            return nn.conv2d_forward(h, self.conv[spec.name]), h
+            return nn.conv2d_forward(h, self.layers[spec.name]), h
         if kind == "relu":
             return nn.relu(h), h
         if kind == "maxpool":
@@ -134,7 +135,7 @@ class Model:
             out, mask = nn.dropout(h, spec.p, mode, rng)
             return out, (mask, spec.p)
         if kind == "dense":
-            return nn.dense_forward(h, self.dense[spec.name]), h
+            return nn.dense_forward(h, self.layers[spec.name]), h
         raise ValueError(f"unknown layer kind {kind!r}")
 
     def _run(
@@ -188,7 +189,7 @@ class Model:
     def forward(
         self, batch: np.ndarray, mode: str = "eval", rng: Rng | None = None
     ) -> np.ndarray:
-        """Class probabilities [N, num_classes], rows summing to 1; no
+        """Class probabilities [N, len(CLASSES)], rows summing to 1; no
         trace is kept."""
         return nn.softmax(self.head(self.trunk(batch, mode, rng), mode, rng))
 
@@ -197,7 +198,9 @@ class Model:
 
         The trace's first entry is the first trainable layer; nothing
         reads its input gradient, so there only dw and db are computed
-        and the pass stops.
+        and the pass stops.  A layer frozen behind the trunk (by hand;
+        no policy does this) is differentiated through but gets no
+        entry, so the optimizer leaves it alone.
         """
         grads: dict[str, np.ndarray] = {}
         d = dlogits
@@ -212,7 +215,7 @@ class Model:
             elif kind == "dropout":
                 d = nn.dropout_backward(d, cache[0], cache[1])
             else:
-                layer = self.layer(name)
+                layer = self.layers[name]
                 conv = kind == "conv"
                 if i == 0:  # nothing reads the first trainable layer's input gradient
                     param_grads = nn.conv2d_param_grads if conv else nn.dense_param_grads
@@ -226,103 +229,77 @@ class Model:
         return grads
 
 
-def _conv(in_ch: int, out_ch: int, dtype=np.float32) -> nn.ConvLayer:
-    return nn.ConvLayer(
-        weight=np.zeros((out_ch, in_ch, nn.KERNEL, nn.KERNEL), dtype=dtype),
-        bias=np.zeros(out_ch, dtype=dtype),
-    )
-
-
-def _dense(in_f: int, out_f: int, dtype=np.float32) -> nn.DenseLayer:
-    return nn.DenseLayer(
-        weight=np.zeros((out_f, in_f), dtype=dtype),
-        bias=np.zeros(out_f, dtype=dtype),
-    )
-
-
 def _assemble(
     blocks: list[list[int]],
     last_block_pools: bool,
     head_widths: list[int],
-    num_classes: int,
     input_size: int,
-    dropout_p: float,
     arch: str,
 ) -> Model:
     """Shared builder: conv blocks, GAP, dropout/dense head, softmax."""
     specs: list[LayerSpec] = []
-    conv: dict[str, nn.ConvLayer] = {}
-    dense: dict[str, nn.DenseLayer] = {}
+    layers: dict[str, nn.ConvLayer | nn.DenseLayer] = {}
     ch = 1  # grayscale input
-    idx = 0
     for b, widths in enumerate(blocks):
         for width in widths:
-            idx += 1
-            name = f"conv{idx}"
-            conv[name] = _conv(ch, width)
-            specs.append(LayerSpec("conv", name, width))
-            specs.append(LayerSpec("relu"))
+            name = f"conv{len(layers) + 1}"
+            layers[name] = nn.ConvLayer(
+                weight=np.zeros((width, ch, nn.KERNEL, nn.KERNEL), dtype=np.float32),
+                bias=np.zeros(width, dtype=np.float32),
+            )
+            specs += [LayerSpec("conv", name), LayerSpec("relu")]
             ch = width
         if b < len(blocks) - 1 or last_block_pools:
             specs.append(LayerSpec("maxpool"))
     specs.append(LayerSpec("gap"))
-    feat = ch
-    didx = 0
-    for width in head_widths:
-        didx += 1
-        name = f"dense{didx}"
-        specs.append(LayerSpec("dropout", p=dropout_p))
-        dense[name] = _dense(feat, width)
-        specs.append(LayerSpec("dense", name, width))
-        specs.append(LayerSpec("relu"))
-        feat = width
-    didx += 1
-    name = f"dense{didx}"
-    dense[name] = _dense(feat, num_classes)
-    specs.append(LayerSpec("dense", name, num_classes))
-    specs.append(LayerSpec("softmax"))
-    return Model(specs, conv, dense, input_size, arch)
+    for i, width in enumerate(head_widths + [len(CLASSES)], 1):
+        name = f"dense{i}"
+        layers[name] = nn.DenseLayer(
+            weight=np.zeros((width, ch), dtype=np.float32),
+            bias=np.zeros(width, dtype=np.float32),
+        )
+        ch = width
+        if i <= len(head_widths):
+            specs += [LayerSpec("dropout", p=0.3), LayerSpec("dense", name), LayerSpec("relu")]
+    specs += [LayerSpec("dense", name), LayerSpec("softmax")]  # the classifier
+    return Model(specs, layers, input_size, arch)
 
 
-def build_vgg16(num_classes: int = 2) -> Model:
+def build_vgg16() -> Model:
     """Thirteen 3x3 conv layers in blocks 64-64 / 128-128 / 256x3 / 512x3
     / 512x3 with 2x2 max-pools between blocks, global average pooling in
     place of the fifth pool, then Dropout(0.3), Dense 256, ReLU,
-    Dropout(0.3), Dense 256, ReLU, Dense ``num_classes``, Softmax."""
+    Dropout(0.3), Dense 256, ReLU, Dense 2, Softmax."""
     return _assemble(
         blocks=[[64, 64], [128, 128], [256, 256, 256], [512, 512, 512], [512, 512, 512]],
         last_block_pools=False,
         head_widths=[256, 256],
-        num_classes=num_classes,
         input_size=224,
-        dropout_p=0.3,
         arch="vgg16",
     )
 
 
-def build_vgg_tiny(input_size: int = 64, num_classes: int = 2) -> Model:
+def build_vgg_tiny(input_size: int = 64) -> Model:
     """Miniature of the same shape family: blocks 8 / 16 / 32 each
     followed by a max-pool, GAP, Dropout(0.3), Dense 32, ReLU,
-    Dropout(0.3), Dense ``num_classes``, Softmax."""
+    Dropout(0.3), Dense 2, Softmax."""
     if input_size % 8:
         raise ValueError(f"input_size must be divisible by 8, got {input_size}")
     return _assemble(
         blocks=[[8], [16], [32]],
         last_block_pools=True,
         head_widths=[32],
-        num_classes=num_classes,
         input_size=input_size,
-        dropout_p=0.3,
         arch="vgg_tiny",
     )
 
 
-def build_model(arch: str, input_size: int | None = None, num_classes: int = 2) -> Model:
+def build_model(arch: str, input_size: int | None = None) -> Model:
     """Builder dispatch by architecture name."""
     if arch == "vgg16":
-        return build_vgg16(num_classes=num_classes)
+        return build_vgg16()
     if arch == "vgg_tiny":
-        return build_vgg_tiny(input_size=input_size or 64, num_classes=num_classes)
+        return build_vgg_tiny(input_size=input_size or 64)
     raise ValueError(f"unknown architecture {arch!r}")
 
 
@@ -331,11 +308,8 @@ def apply_freeze_policy(model: Model, policy: str) -> Model:
     layer; none thaws everything.  Returns the same model."""
     if policy not in FREEZE_POLICIES:
         raise ValueError(f"unknown freeze policy {policy!r}")
-    feature_frozen = policy == FREEZE_FEATURES
-    for layer in model.conv.values():
-        layer.frozen = feature_frozen
-    for layer in model.dense.values():
-        layer.frozen = False
+    for layer in model.layers.values():
+        layer.frozen = policy == FREEZE_FEATURES and isinstance(layer, nn.ConvLayer)
     return model
 
 
@@ -347,17 +321,14 @@ def he_normal(rng: Rng, shape: tuple[int, ...], fan_in: int, dtype=np.float32) -
 
 
 def init_weights(model: Model, rng: Rng) -> Model:
-    """He-normal weights, zero biases, drawn in network order."""
-    for spec in model.specs:
-        if spec.kind == "conv":
-            layer = model.conv[spec.name]
-            fan_in = layer.in_channels * nn.KERNEL * nn.KERNEL
-            layer.weight[...] = he_normal(rng, layer.weight.shape, fan_in, layer.weight.dtype)
-            layer.bias[...] = 0
-        elif spec.kind == "dense":
-            layer = model.dense[spec.name]
-            layer.weight[...] = he_normal(
-                rng, layer.weight.shape, layer.in_features, layer.weight.dtype
-            )
-            layer.bias[...] = 0
+    """He-normal weights, zero biases, drawn in network order.
+
+    The fan-in is the size of one output unit's weights: C*9 for a conv
+    layer, ``in_features`` for a dense one.
+    """
+    for layer in model.layers.values():
+        layer.weight[...] = he_normal(
+            rng, layer.weight.shape, layer.weight[0].size, layer.weight.dtype
+        )
+        layer.bias[...] = 0
     return model

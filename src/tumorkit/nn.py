@@ -311,19 +311,17 @@ def adam_step(
     params: Mapping[str, np.ndarray],
     grads: Mapping[str, np.ndarray],
     state: AdamState,
-    frozen: frozenset[str] | set[str] = frozenset(),
 ) -> None:
-    """One Adam update, in place on ``params``.
+    """One Adam update, in place on the ``params`` named in ``grads``.
 
-    Frozen parameters are skipped entirely: no moment is allocated or
-    updated for them.  Moments are lazily zero-initialized on first use.
+    A parameter without a gradient (a frozen layer's) is skipped
+    entirely: no moment is allocated or updated for it.  Moments are
+    lazily zero-initialized on first use.
     """
     state.t += 1
     t = state.t
-    for name, p in params.items():
-        if name in frozen:
-            continue
-        g = grads[name]
+    for name, g in grads.items():
+        p = params[name]
         if g.shape != p.shape:
             raise ShapeMismatch(f"gradient {name} has shape {g.shape}, param {p.shape}")
         m = state.m.get(name)

@@ -15,7 +15,9 @@ import numpy as np
 
 from .errors import BadMagic, HeaderParse, Truncated
 
-_WHITESPACE = b" \t\n\r\x0b\x0c"  # the bytes ``bytes.split()`` splits on
+# one header token after any whitespace and # comments; in a bytes pattern
+# \s is the six bytes ``bytes.split()`` splits on
+_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*([^\s#]*)")
 _COMMENT = re.compile(rb"#[^\n]*")
 
 
@@ -53,44 +55,6 @@ class GrayImage8:
         return f"GrayImage8({self.width}x{self.height})"
 
 
-class _Tokenizer:
-    """Walks PGM header tokens, skipping whitespace and # comments."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def next_token(self) -> bytes | None:
-        data, i = self.data, self.pos
-        n = len(data)
-        while i < n:
-            c = data[i : i + 1]
-            if c == b"#":
-                while i < n and data[i : i + 1] != b"\n":
-                    i += 1
-            elif c in _WHITESPACE:
-                i += 1
-            else:
-                break
-        if i >= n:
-            return None
-        start = i
-        while i < n and data[i : i + 1] not in _WHITESPACE and data[i : i + 1] != b"#":
-            i += 1
-        self.pos = i
-        return data[start:i]
-
-    def next_int(self, what: str) -> int:
-        tok = self.next_token()
-        if tok is None:
-            raise HeaderParse(f"missing {what}")
-        try:
-            value = int(tok)
-        except ValueError:
-            raise HeaderParse(f"invalid {what}: {tok!r}") from None
-        return value
-
-
 def read_pgm(data: bytes) -> GrayImage8:
     """Decode a P5 (binary) or P2 (ASCII) PGM byte string."""
     if len(data) < 2:
@@ -99,11 +63,18 @@ def read_pgm(data: bytes) -> GrayImage8:
     if magic not in (b"P2", b"P5"):
         raise BadMagic(f"not a P2/P5 PGM file (magic {magic!r})")
 
-    tok = _Tokenizer(data)
-    tok.pos = 2
-    width = tok.next_int("width")
-    height = tok.next_int("height")
-    maxval = tok.next_int("maxval")
+    pos = 2
+    header = []
+    for what in ("width", "height", "maxval"):
+        match = _HEADER_TOKEN.match(data, pos)
+        token, pos = match[1], match.end()
+        if not token:
+            raise HeaderParse(f"missing {what}")
+        try:
+            header.append(int(token))
+        except ValueError:
+            raise HeaderParse(f"invalid {what}: {token!r}") from None
+    width, height, maxval = header
     if width < 1 or height < 1:
         raise HeaderParse(f"invalid dimensions {width}x{height}")
     if maxval != 255:
@@ -112,7 +83,7 @@ def read_pgm(data: bytes) -> GrayImage8:
     count = width * height
     if magic == b"P5":
         # exactly one whitespace byte separates the header from the payload
-        start = tok.pos + 1
+        start = pos + 1
         payload = data[start : start + count]
         if len(payload) < count:
             raise Truncated(f"payload has {len(payload)} of {count} bytes")
@@ -120,7 +91,7 @@ def read_pgm(data: bytes) -> GrayImage8:
         return GrayImage8(pixels.copy())
 
     # comments run from '#' to the end of the line; tokens past ``count`` are ignored
-    tokens = _COMMENT.sub(b" ", data[tok.pos :]).split()[:count]
+    tokens = _COMMENT.sub(b" ", data[pos:]).split()[:count]
     values = np.array([_sample(token) for token in tokens], dtype=np.uint8)
     if len(values) < count:
         raise Truncated(f"payload has {len(values)} of {count} samples")

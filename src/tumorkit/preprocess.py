@@ -37,7 +37,11 @@ DEGENERATE_STD = 1e-8
 
 
 class BinaryMask:
-    """Boolean raster stored as a (height, width) bool array."""
+    """Boolean raster stored as a (height, width) bool array.
+
+    ``bits`` and ``height`` are what ``bench/tracing.py`` reads from
+    :func:`largest_component`'s argument.
+    """
 
     __slots__ = ("bits",)
 
@@ -48,25 +52,8 @@ class BinaryMask:
         self.bits = arr
 
     @property
-    def width(self) -> int:
-        return self.bits.shape[1]
-
-    @property
     def height(self) -> int:
         return self.bits.shape[0]
-
-    def count(self) -> int:
-        return int(self.bits.sum())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BinaryMask):
-            return NotImplemented
-        return self.bits.shape == other.bits.shape and bool(
-            (self.bits == other.bits).all()
-        )
-
-    def __repr__(self) -> str:
-        return f"BinaryMask({self.width}x{self.height}, {self.count()} set)"
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .dataset import DatasetManifest
+from .dataset import DatasetManifest, ManifestEntry
+from .errors import BadConfig, TumorkitError
 from .metrics import CLASSES, MetricsReport, ScoredSample
 
 UNDEFINED = "undefined"
@@ -122,9 +123,6 @@ def read_scores_csv(path: str | Path):
 
     A malformed row raises BadConfig naming ``path:line``.
     """
-    from .dataset import ManifestEntry
-    from .errors import BadConfig, TumorkitError
-
     entries, samples, predictions = [], [], []
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -153,8 +151,6 @@ def read_history_csv(path: str | Path) -> list[EpochStats]:
 
     A malformed row raises BadConfig naming ``path:line``.
     """
-    from .errors import BadConfig
-
     out = []
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -211,19 +207,13 @@ def emit_report(
     """Write every report file into ``out_dir`` and list what was written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    files = {
-        "metrics.csv": lambda p: write_metrics_csv(report, p),
-        "confusion.csv": lambda p: write_confusion_csv(report, p),
-        "roc.csv": lambda p: write_roc_csv(report, p),
-        "pr.csv": lambda p: write_pr_csv(report, p),
-        "history.csv": lambda p: write_history_csv(history, p),
-    }
-    written = []
-    for name, writer in files.items():
-        path = out / name
-        writer(path)
-        written.append(path)
-    svg_path = out / "roc.svg"
-    svg_path.write_text(roc_svg(report))
-    written.append(svg_path)
+    written = [out / name for name in
+               ("metrics.csv", "confusion.csv", "roc.csv", "pr.csv", "history.csv", "roc.svg")]
+    metrics, confusion, roc, pr, history_path, svg = written
+    write_metrics_csv(report, metrics)
+    write_confusion_csv(report, confusion)
+    write_roc_csv(report, roc)
+    write_pr_csv(report, pr)
+    write_history_csv(history, history_path)
+    svg.write_text(roc_svg(report))
     return written

@@ -6,10 +6,11 @@ configs produce bit-identical loss traces and checkpoints.
 
 Per epoch: the train set is reshuffled, batches of ``batch_size`` are
 formed (the final short batch is kept), each image is freshly augmented
-before normalization, and one Adam step is taken per batch with frozen
-layers skipped.  After each epoch the validation set is scored in eval
-mode without augmentation; the best-validation-accuracy weights and the
-final weights are both saved.  The frozen trunk (see ``Model.trunk``)
+before normalization, and one Adam step is taken per batch on the
+gradients ``Model.backward`` returns, which leave out frozen layers.
+After each epoch the validation set is scored in eval mode without
+augmentation; the best-validation-accuracy weights and the final
+weights are both saved.  The frozen trunk (see ``Model.trunk``)
 gives the same validation features every epoch, so they are computed
 once per run and later epochs run only the head.
 """
@@ -93,10 +94,6 @@ class TrainResult:
     history: list[EpochStats]
 
 
-def build_configured_model(cfg: TrainConfig) -> Model:
-    return build_model(cfg.architecture, cfg.input_size)
-
-
 def load_one_image(path: str | Path, cfg: TrainConfig) -> GrayImage8:
     """Read one PGM and run the 8-bit crop/resize stage, tagging errors
     with the offending path."""
@@ -161,7 +158,7 @@ def run_training(
     ckpt_dir = out / "checkpoints"
     ckpt_dir.mkdir(parents=True, exist_ok=True)
 
-    model = build_configured_model(cfg)
+    model = build_model(cfg.architecture, cfg.input_size)
     if cfg.init_checkpoint is not None:
         apply_weights(model, load_checkpoint(cfg.init_checkpoint))
     else:
@@ -175,7 +172,6 @@ def run_training(
     val_targets = _one_hot([label for _, label in val_base]) if val_base else None
 
     params = model.parameters()
-    frozen = model.frozen_param_names()
     state = AdamState(lr=cfg.learning_rate)
     size = cfg.input_size
 
@@ -208,7 +204,7 @@ def run_training(
                     f"epoch {epoch}, batch {start // cfg.batch_size}: loss {loss}"
                 )
             grads = model.backward(trace, dlogits)
-            adam_step(params, grads, state, frozen)
+            adam_step(params, grads, state)
             epoch_loss += loss * len(chunk)
             correct += int((logits.argmax(axis=1) == targets.argmax(axis=1)).sum())
 
@@ -251,7 +247,7 @@ def run_evaluation(
     Returns the metrics report, the per-image score table (probability
     of YES), and the predicted labels, all in manifest order.
     """
-    model = build_configured_model(cfg)
+    model = build_model(cfg.architecture, cfg.input_size)
     apply_weights(model, load_checkpoint(checkpoint_path))
     base = load_base_images(manifest, cfg)
     x = _to_batch([img for img, _ in base])
@@ -269,7 +265,7 @@ def predict_single(
     checkpoint_path: str | Path, image_path: str | Path, cfg: TrainConfig
 ) -> tuple[str, float]:
     """(predicted label, probability of YES) for one image file."""
-    model = build_configured_model(cfg)
+    model = build_model(cfg.architecture, cfg.input_size)
     apply_weights(model, load_checkpoint(checkpoint_path))
     x = _to_batch([load_one_image(image_path, cfg)])
     probs = model.forward(x, "eval")

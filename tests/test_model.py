@@ -1,9 +1,12 @@
 """Network builders, freeze policy, initialization, forward/backward wiring."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from helpers import max_rel_err
+from tumorkit.checkpoint import dump_weights
 from tumorkit.errors import ShapeMismatch
 from tumorkit.model import (
     FREEZE_FEATURES,
@@ -16,16 +19,23 @@ from tumorkit.model import (
     init_weights,
 )
 from tumorkit import nn
-from tumorkit.nn import softmax_ce_loss
+from tumorkit.nn import AdamState, ConvLayer, adam_step, softmax_ce_loss
 from tumorkit.rng import Rng
 
 VGG16_CONV_PARAMS = 14_713_536
 VGG16_HEAD_PARAMS = 197_634
 TINY_PARAMS = 7_010
+# SHA-256 of the vgg_tiny@64 weights init_weights draws from Rng(0); pins
+# the draw order (network order) and every layer's He fan-in
+TINY_INIT_SHA256 = "39e9fe13a4314bef553366fe97909011bf292d94194ca54e26c2c1de88736004"
 
 
 def conv_widths(model):
-    return [s.width for s in model.specs if s.kind == "conv"]
+    return [model.layer(s.name).out_channels for s in model.specs if s.kind == "conv"]
+
+
+def conv_layers(model):
+    return [layer for layer in model.layers.values() if isinstance(layer, ConvLayer)]
 
 
 def kinds(model):
@@ -63,7 +73,7 @@ class TestVgg16Structure:
         m = build_vgg16()
         total = m.param_count()
         conv_total = sum(
-            layer.weight.size + layer.bias.size for layer in m.conv.values()
+            layer.weight.size + layer.bias.size for layer in conv_layers(m)
         )
         assert conv_total == VGG16_CONV_PARAMS
         assert total - conv_total == VGG16_HEAD_PARAMS
@@ -71,7 +81,7 @@ class TestVgg16Structure:
 
     def test_head_widths(self):
         m = build_vgg16()
-        d1, d2, d3 = (m.dense[f"dense{i}"] for i in (1, 2, 3))
+        d1, d2, d3 = (m.layers[f"dense{i}"] for i in (1, 2, 3))
         assert (d1.in_features, d1.out_features) == (512, 256)
         assert (d2.in_features, d2.out_features) == (256, 256)
         assert (d3.in_features, d3.out_features) == (256, 2)
@@ -85,6 +95,10 @@ class TestVgg16Structure:
         assert names[:4] == ["conv1.weight", "conv1.bias", "conv2.weight", "conv2.bias"]
         assert names[-2:] == ["dense3.weight", "dense3.bias"]
         assert len(names) == 2 * (13 + 3)
+
+    def test_layer_table_follows_the_node_list(self):
+        m = build_vgg16()
+        assert list(m.layers) == [s.name for s in m.specs if s.kind in ("conv", "dense")]
 
 
 class TestVggTinyStructure:
@@ -134,26 +148,30 @@ class TestInit:
     def test_different_seeds_differ(self):
         a = init_weights(build_vgg_tiny(), Rng(9))
         b = init_weights(build_vgg_tiny(), Rng(10))
-        assert a.conv["conv1"].weight.tobytes() != b.conv["conv1"].weight.tobytes()
+        assert a.layers["conv1"].weight.tobytes() != b.layers["conv1"].weight.tobytes()
 
     def test_biases_start_at_zero(self):
         m = init_weights(build_vgg_tiny(), Rng(3))
-        for layer in list(m.conv.values()) + list(m.dense.values()):
+        for layer in m.layers.values():
             assert not layer.bias.any()
             assert layer.weight.any()
+
+    def test_tiny_init_bytes_are_pinned(self):
+        blob = dump_weights(init_weights(build_vgg_tiny(), Rng(0)).parameters())
+        assert hashlib.sha256(blob).hexdigest() == TINY_INIT_SHA256
 
 
 class TestFreezePolicy:
     def test_freeze_features_pins_every_conv(self):
         m = apply_freeze_policy(build_vgg16(), FREEZE_FEATURES)
-        frozen = m.frozen_param_names()
-        assert frozen == {f"conv{i}.{part}" for i in range(1, 14) for part in ("weight", "bias")}
+        frozen = [name for name, layer in m.layers.items() if layer.frozen]
+        assert frozen == [f"conv{i}" for i in range(1, 14)]
         assert m.trainable_param_count() == VGG16_HEAD_PARAMS
 
     def test_none_thaws_everything(self):
         m = apply_freeze_policy(build_vgg16(), FREEZE_FEATURES)
         apply_freeze_policy(m, FREEZE_NONE)
-        assert m.frozen_param_names() == frozenset()
+        assert not any(layer.frozen for layer in m.layers.values())
         assert m.trainable_param_count() == m.param_count()
 
     def test_unknown_policy_rejected(self):
@@ -233,7 +251,7 @@ class TestBackward:
         # full-network gradient check along one random unit direction,
         # run in float64 so the finite difference is trustworthy
         m = init_weights(build_vgg_tiny(input_size=8), Rng(61))
-        for layer in list(m.conv.values()) + list(m.dense.values()):
+        for layer in m.layers.values():
             layer.weight = layer.weight.astype(np.float64)
             layer.bias = layer.bias.astype(np.float64)
         g = np.random.default_rng(162)
@@ -291,7 +309,7 @@ class TestFrozenTrunk:
         frozen = self.make(FREEZE_FEATURES)
         assert frozen.specs[frozen.trunk_end].name == "dense1"
         assert self.make(FREEZE_NONE).trunk_end == 0
-        for layer in frozen.dense.values():
+        for layer in frozen.layers.values():
             layer.frozen = True
         assert frozen.trunk_end == len(frozen.specs) - 1
 
@@ -304,9 +322,32 @@ class TestFrozenTrunk:
     def test_backward_returns_exactly_the_trainable_keys(self):
         m = self.make(FREEZE_FEATURES)
         _, _, grads = self.train_step(m)
-        trainable = set(m.parameters()) - m.frozen_param_names()
+        trainable = {
+            f"{name}.{part}"
+            for name, layer in m.layers.items()
+            if not layer.frozen
+            for part in ("weight", "bias")
+        }
         assert set(grads) == trainable
         assert all(name.startswith("dense") for name in grads)
+
+    def test_layer_frozen_behind_the_trunk_is_left_alone(self):
+        # convs train, dense1 is frozen by hand: the trunk is empty, so
+        # backward's frozen check alone keeps dense1 out of the update
+        m = self.make(FREEZE_NONE)
+        m.layers["dense1"].frozen = True
+        assert m.trunk_end == 0
+        _, _, grads = self.train_step(m)
+        assert "dense1.weight" not in grads and "dense1.bias" not in grads
+        assert "conv1.weight" in grads and "dense2.weight" in grads
+        params = m.parameters()
+        before = {name: p.tobytes() for name, p in params.items()}
+        state = AdamState(lr=1e-2)
+        adam_step(params, grads, state)
+        assert params["dense1.weight"].tobytes() == before["dense1.weight"]
+        assert params["dense1.bias"].tobytes() == before["dense1.bias"]
+        assert params["conv1.weight"].tobytes() != before["conv1.weight"]
+        assert "dense1.weight" not in state.m
 
     def test_head_gradients_match_a_full_backward_bitwise(self):
         frozen_logits, _, frozen_grads = self.train_step(self.make(FREEZE_FEATURES))
@@ -342,7 +383,7 @@ class TestFrozenTrunk:
         monkeypatch.setattr(nn, "conv2d_param_grads", recording)
         _, _, grads = self.train_step(m)
         # conv2d_backward reaches conv2d_param_grads too, for conv2 and conv3
-        (x, layer, dy), = [args for args in inputs if args[1] is m.conv["conv1"]]
+        (x, layer, dy), = [args for args in inputs if args[1] is m.layers["conv1"]]
         _, dw, db = nn.conv2d_backward(x, layer, dy)
         assert grads["conv1.weight"].tobytes() == dw.tobytes()
         assert grads["conv1.bias"].tobytes() == db.tobytes()

@@ -96,14 +96,34 @@ SEPARATOR = st.one_of(
 )
 
 
+def header(draw, magic: bytes, width: int, height: int, maxvals: list[bytes]) -> bytes:
+    """Magic, then width, height and maxval tokens, each after a drawn
+    separator; the width and height tokens may carry a sign or leading
+    zeros."""
+    data = magic
+    for value in (width, height):
+        data += draw(SEPARATOR) + draw(st.sampled_from([b"%d", b"+%d", b"0%d"])) % value
+    return data + draw(SEPARATOR) + draw(st.sampled_from(maxvals))
+
+
 @st.composite
 def p2_files(draw):
     width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     tokens = draw(st.lists(SAMPLE, max_size=width * height + 3))
-    data = b"P2\n%d %d\n255" % (width, height)
+    data = header(draw, b"P2", width, height, [b"255", b"0255", b"+255", b"254"])
     for token in tokens:
         data += draw(SEPARATOR) + token
     return data + draw(st.sampled_from([b"", b"\n", b" #tail"]))
+
+
+@st.composite
+def p5_files(draw):
+    """(file, payload): the one byte after maxval is whitespace or '#',
+    and the payload may start with either."""
+    width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    data = header(draw, b"P5", width, height, [b"255", b"0255"])
+    payload = draw(st.binary(min_size=width * height, max_size=width * height))
+    return data + draw(st.sampled_from([b" ", b"\n", b"\r", b"\x0c", b"#"])) + payload, payload
 
 
 class TestAsciiAgainstTokenwiseDecoder:
@@ -120,6 +140,16 @@ class TestAsciiAgainstTokenwiseDecoder:
             with pytest.raises((HeaderParse, Truncated)) as caught:
                 read_pgm(data)
             assert type(caught.value).__name__ == outcome
+
+
+class TestBinaryHeaderTokens:
+    @settings(max_examples=200, deadline=None)
+    @given(p5_files())
+    @example((b"P5\n1 2\n255#" + bytes([0x23, 0x0A]), bytes([0x23, 0x0A])))
+    @example((b"P5 #c\n2#d\n1\t255\n  ", b"  "))
+    def test_payload_starts_one_byte_after_maxval(self, case):
+        data, payload = case
+        assert read_pgm(data).pixels.tobytes() == payload
 
 
 class TestWrite:

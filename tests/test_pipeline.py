@@ -443,6 +443,39 @@ class TestCliErrors:
         assert err.startswith("error: BadConfig: ")
         assert problem in err
 
+    @pytest.mark.parametrize(
+        "doc, problem",
+        [
+            ({"train": {"batch_size": 2.5}}, "train.batch_size must be an integer, got 2.5"),
+            ({"train": {"epochs": 1.5}}, "train.epochs must be an integer, got 1.5"),
+            ({"train": {"epochs": True}}, "train.epochs must be an integer, got true"),
+            ({"train": {"seed": "x"}}, 'train.seed must be an integer, got "x"'),
+            ({"split": {"seed": "x"}}, 'split.seed must be an integer, got "x"'),
+            ({"train": {"init_checkpoint": 5}}, "train.init_checkpoint must be a string or null"),
+            ({"split": 5}, "split must be a JSON object, got int"),
+            ({"train": "ab"}, "train must be a JSON object, got str"),
+            ({"split": [["seed", 3]]}, "split must be a JSON object, got list"),
+            ({"train": []}, "train must be a JSON object, got list"),
+            ({"train": {"input_size": 64.0}}, "train.input_size must be an integer, got 64.0"),
+            ({"train": {"threshold": 45.5}}, "train.threshold must be an integer, got 45.5"),
+            ({"train": {"augment": {"allow_hflip": "no"}}},
+             'train.augment.allow_hflip must be true or false, got "no"'),
+        ],
+        ids=["float-batch-size", "float-epochs", "bool-epochs", "str-train-seed",
+             "str-split-seed", "int-init-checkpoint", "int-split", "str-train",
+             "pairs-split", "empty-list-train", "float-input-size", "float-threshold",
+             "str-hflip"],
+    )
+    def test_config_value_of_wrong_type(self, blob_data, tmp_path, capsys, doc, problem):
+        root, _ = blob_data
+        config = write_config(tmp_path / "c.json", extra=doc)
+        assert main(["split", "--config", config, "--data-dir", str(root),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = stderr_error(capsys)
+        assert err.count("\n") == 1
+        assert err.startswith("error: BadConfig: ")
+        assert problem in err
+
     def test_duplicate_manifest_path(self, blob_data, tmp_path, capsys):
         _, manifest = blob_data
         entry = manifest.entries[0]
