@@ -10,6 +10,7 @@ from .checkpoint import (
     apply_weights,
     dump_weights,
     load_checkpoint,
+    load_model,
     parse_weights,
     save_checkpoint,
 )
@@ -94,6 +95,7 @@ __all__ = [
     "image_to_tensor",
     "init_weights",
     "load_checkpoint",
+    "load_model",
     "mix_seed",
     "normalized_confusion",
     "parse_weights",

@@ -47,6 +47,10 @@ class AugmentConfig:
     symmetric_rotation: bool = False  # sample [-max, +max] instead of [0, max]
 
     def __post_init__(self):
+        for name in ("max_rotation_deg", "shift_fraction", "brightness_lo", "brightness_hi",
+                     "shear_rad"):
+            if not math.isfinite(getattr(self, name)):
+                raise BadConfig(f"{name} must be finite, got {getattr(self, name)}")
         if self.max_rotation_deg < 0:
             raise BadConfig(f"max_rotation_deg must be >= 0, got {self.max_rotation_deg}")
         if not 0 <= self.shift_fraction < 1:

@@ -32,6 +32,10 @@ class ChecksumMismatch(TumorkitError):
     """Stored checksum does not match the file contents."""
 
 
+class Unreadable(TumorkitError):
+    """A file could not be opened or read (missing, a directory, no permission)."""
+
+
 # --- preprocessing ---
 
 class NoForeground(TumorkitError):

@@ -120,15 +120,19 @@ class Model:
                 return i
         return len(self.specs) - 1
 
-    def _node(self, spec: LayerSpec, h: np.ndarray, mode: str, rng: Rng | None):
-        """Run one node; return (output, the cache its backward needs)."""
+    def _node(self, spec: LayerSpec, h: np.ndarray, mode: str, rng: Rng | None, traced: bool):
+        """Run one node; return (output, the cache its backward needs).
+
+        Max-pool routing is only worked out for a ``traced`` node, since
+        only a backward pass reads it.
+        """
         kind = spec.kind
         if kind == "conv":
             return nn.conv2d_forward(h, self.layers[spec.name]), h
         if kind == "relu":
             return nn.relu(h), h
         if kind == "maxpool":
-            return nn.maxpool2(h)
+            return nn.maxpool2(h, routing=traced)
         if kind == "gap":
             return nn.global_avg_pool(h), h.shape
         if kind == "dropout":
@@ -150,7 +154,7 @@ class Model:
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
         for spec in specs:
-            h, cache = self._node(spec, h, mode, rng)
+            h, cache = self._node(spec, h, mode, rng, trace is not None)
             if trace is not None:
                 trace.append((spec.kind, spec.name, cache))
             del cache  # untraced, a node's input is freed as soon as it has run

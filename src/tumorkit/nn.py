@@ -18,6 +18,17 @@ weight gradient is dy [O, N*H*W] times their transpose, and the input
 gradient is the flipped, channel-swapped weight [C, O*9] times the
 patches of dy.
 
+The forward pass and the input gradient build and multiply the patch
+matrix in blocks of at most ``BLOCK_BYTES`` (low-memory im2col; Anderson
+et al. 2017): runs of whole images, or runs of whole rows of one image
+when an image's patches do not fit.  Each block's product goes straight
+into its columns of the [O, N*H*W] result, so the full patch matrix
+(115 MB for the second VGG16 layer) is never built.  Every column is
+still one dot product over the same C*9 terms; with OpenBLAS, blocking
+leaves the bits of every layer shape of both built-in networks as they
+were.  The weight gradient reduces over the columns, so it keeps the
+one-shot patch matrix.
+
 Pooling is 2x2 max with stride 2, taken pairwise over the four strided
 phases of the input.  The routing code of a window is its argmax in
 row-major order (0 top-left, 1 top-right, 2 bottom-left, 3 bottom-right)
@@ -30,6 +41,7 @@ identity).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -40,6 +52,12 @@ from .rng import Rng
 
 KERNEL = 3
 PAD = 1
+# Largest patch block, in bytes: the smallest round size that keeps every
+# vgg_tiny@64 product of a 16-image batch (forward and dx, at most 9 MiB
+# of patches) one block.  vgg16@224 splits its layers at 56x56 and up
+# into runs of rows; fresh-process vgg16 predicts timed with blocks of 2
+# to 32 MiB differed by less than their run-to-run spread.
+BLOCK_BYTES = 10 * 2**20
 
 
 @dataclass
@@ -95,17 +113,82 @@ def _check_nchw(x: np.ndarray, channels: int, op: str) -> None:
         raise ShapeMismatch(f"{op} expects {channels} channels, got {x.shape[1]}")
 
 
+def _pad(x: np.ndarray) -> np.ndarray:
+    """``x`` [N, C, H, W] as a zero-padded channel-major [C, N, H+2, W+2] copy."""
+    n, c, h, w = x.shape
+    xp = np.zeros((c, n, h + 2 * PAD, w + 2 * PAD), dtype=x.dtype)
+    xp[:, :, PAD : PAD + h, PAD : PAD + w] = x.transpose(1, 0, 2, 3)
+    return xp
+
+
+def _patches(xp: np.ndarray, block: tuple[int, int, int, int], out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` [C, 3, 3, n, r, W] with the patches of output rows
+    ``r0:r1`` of images ``n0:n1``, ``block = (n0, n1, r0, r1)``, from the
+    padded input ``xp``; return it as a [C*9, n*r*W] matrix."""
+    n0, n1, r0, r1 = block
+    w = xp.shape[3] - 2 * PAD
+    for ky in range(KERNEL):
+        for kx in range(KERNEL):
+            out[:, ky, kx] = xp[:, n0:n1, r0 + ky : r1 + ky, kx : kx + w]
+    return out.reshape(out.shape[0] * KERNEL * KERNEL, math.prod(out.shape[3:]))
+
+
 def _columns(x: np.ndarray) -> np.ndarray:
     """Zero-padded 3x3 patches of ``x`` [N, C, H, W] as a C-contiguous
     [C*9, N*H*W] matrix: rows ordered (c, ky, kx), columns (n, h, w)."""
     n, c, h, w = x.shape
-    xp = np.zeros((c, n, h + 2 * PAD, w + 2 * PAD), dtype=x.dtype)
-    xp[:, :, PAD : PAD + h, PAD : PAD + w] = x.transpose(1, 0, 2, 3)
     cols = np.empty((c, KERNEL, KERNEL, n, h, w), dtype=x.dtype)
-    for ky in range(KERNEL):
-        for kx in range(KERNEL):
-            cols[:, ky, kx] = xp[:, :, ky : ky + h, kx : kx + w]
-    return cols.reshape(c * KERNEL * KERNEL, n * h * w)
+    return _patches(_pad(x), (0, n, 0, h), cols)
+
+
+def _blocks(x: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """(n0, n1, r0, r1) of each patch block of ``x``, in column order.
+
+    A block is a run of whole images if one image's patches fit in
+    :data:`BLOCK_BYTES`, else a run of whole rows of one image (at least
+    one row).
+    """
+    n, c, h, w = x.shape
+    image_bytes = c * KERNEL * KERNEL * h * w * x.itemsize
+    if image_bytes <= BLOCK_BYTES:
+        per = BLOCK_BYTES // max(image_bytes, 1)
+        return [(i, min(i + per, n), 0, h) for i in range(0, n, per)]
+    per = max(1, BLOCK_BYTES // (image_bytes // h))
+    return [(i, i + 1, r, min(r + per, h)) for i in range(n) for r in range(0, h, per)]
+
+
+def _patch_product(
+    weight: np.ndarray, x: np.ndarray, bias: np.ndarray | None = None
+) -> np.ndarray:
+    """``weight`` [O, C*9] times the patch matrix of ``x`` [N, C, H, W],
+    plus ``bias`` per row if given, as an [O, N*H*W] array.
+
+    The patch matrix is built and multiplied one block (see
+    :func:`_blocks`) at a time in one reused buffer; each product is
+    written straight into its columns of the result, and the bias is
+    added while they are still in cache.
+    """
+    n, c, h, w = x.shape
+    xp = _pad(x)
+    blocks = _blocks(x)
+    y = buf = None
+    start = 0
+    for i, block in enumerate(blocks):
+        n0, n1, r0, r1 = block
+        shape = (c, KERNEL, KERNEL, n1 - n0, r1 - r0, w)
+        if buf is None:  # no later block is larger than the first
+            buf = np.empty(math.prod(shape), dtype=x.dtype)
+        cols = _patches(xp, block, buf[: math.prod(shape)].reshape(shape))
+        if i == len(blocks) - 1:
+            del xp  # not read again: free it before a one-block result is made
+        if y is None:
+            y = np.empty((weight.shape[0], n * h * w), dtype=np.result_type(weight, x))
+        out = y[:, start : start + cols.shape[1]]
+        np.matmul(weight, cols, out=out)
+        if bias is not None:
+            out += bias[:, None]
+        start += cols.shape[1]
+    return y
 
 
 def _to_nchw(y: np.ndarray, n: int, h: int, w: int, dtype) -> np.ndarray:
@@ -118,8 +201,7 @@ def conv2d_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
     """Cross-correlate ``x`` [N, C, H, W] with the layer kernel, add bias."""
     _check_nchw(x, layer.in_channels, "conv2d")
     n, _, h, w = x.shape
-    y = layer.weight.reshape(layer.out_channels, -1) @ _columns(x)  # [out, N*H*W]
-    y += layer.bias[:, None]
+    y = _patch_product(layer.weight.reshape(layer.out_channels, -1), x, layer.bias)
     return _to_nchw(y, n, h, w, x.dtype)
 
 
@@ -153,15 +235,16 @@ def conv2d_backward(
     dw, db = conv2d_param_grads(x, layer, dy)
     n, c, h, w = x.shape
     w_flip = layer.weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
-    dx = w_flip @ _columns(dy)  # [C, N*H*W]
+    dx = _patch_product(w_flip, dy)  # [C, N*H*W]
     return _to_nchw(dx, n, h, w, x.dtype), dw, db
 
 
-def maxpool2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def maxpool2(x: np.ndarray, routing: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """2x2 stride-2 max pool; returns (output, routing).
 
     ``routing`` holds each window's argmax position in row-major window
-    order (ties go to the first), which is all the backward pass needs.
+    order (ties go to the first), which is all the backward pass needs;
+    with ``routing=False`` it is not computed and None is returned.
     """
     if x.ndim != 4:
         raise ShapeMismatch(f"maxpool2 expects [N, C, H, W], got {x.shape}")
@@ -171,10 +254,12 @@ def maxpool2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a, b = x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2]
     c, d = x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2]
     top, bottom = np.maximum(a, b), np.maximum(c, d)
+    if not routing:
+        return np.maximum(top, bottom), None
     # strict comparisons send ties to the earlier position
     low = bottom > top
-    routing = (2 * low + np.where(low, d > c, b > a)).astype(np.int8)
-    return np.maximum(top, bottom), routing
+    codes = (2 * low + np.where(low, d > c, b > a)).astype(np.int8)
+    return np.maximum(top, bottom), codes
 
 
 def maxpool2_backward(routing: np.ndarray, dy: np.ndarray) -> np.ndarray:

@@ -25,10 +25,11 @@ from pathlib import Path
 import numpy as np
 
 from .augment import AugmentConfig, augment_image, sample_params
-from .checkpoint import apply_weights, load_checkpoint, save_checkpoint, save_weights
-from .checkpoint import dump_weights  # noqa: F401  (bench/tracing.py patches train.dump_weights)
+from .checkpoint import load_model, save_checkpoint, save_weights
+# unused here, but bench/tracing.py patches these names on this module
+from .checkpoint import apply_weights, dump_weights, load_checkpoint  # noqa: F401
 from .dataset import DatasetManifest
-from .errors import BadConfig, NonFiniteLoss, TumorkitError
+from .errors import BadConfig, NonFiniteLoss, TumorkitError, Unreadable
 from .metrics import CLASSES, MetricsReport, ScoredSample, evaluate_scores, label_from_score
 from .model import FREEZE_POLICIES, Model, apply_freeze_policy, build_model, init_weights
 from .nn import AdamState, adam_step, softmax, softmax_ce_loss
@@ -64,8 +65,8 @@ class TrainConfig:
     morph_iterations: int = DEFAULT_MORPH_ITERS
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise BadConfig(f"learning_rate must be positive, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise BadConfig(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.epochs < 1:
             raise BadConfig(f"epochs must be at least 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -98,7 +99,11 @@ def load_one_image(path: str | Path, cfg: TrainConfig) -> GrayImage8:
     """Read one PGM and run the 8-bit crop/resize stage, tagging errors
     with the offending path."""
     try:
-        img = read_pgm(Path(path).read_bytes())
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise Unreadable(f"cannot read image {path}: {exc.strerror or exc}") from exc
+    try:
+        img = read_pgm(data)
         return crop_and_resize(img, cfg.threshold, cfg.morph_iterations, cfg.input_size)
     except TumorkitError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
@@ -154,14 +159,16 @@ def run_training(
     out_dir: str | Path,
 ) -> TrainResult:
     """Train per the config; write best/final checkpoints and history."""
+    if not train_manifest.entries:
+        raise BadConfig("the train manifest lists no images")
     out = Path(out_dir)
     ckpt_dir = out / "checkpoints"
     ckpt_dir.mkdir(parents=True, exist_ok=True)
 
-    model = build_model(cfg.architecture, cfg.input_size)
     if cfg.init_checkpoint is not None:
-        apply_weights(model, load_checkpoint(cfg.init_checkpoint))
+        model = load_model(cfg.architecture, cfg.input_size, cfg.init_checkpoint)
     else:
+        model = build_model(cfg.architecture, cfg.input_size)
         init_weights(model, Rng(mix_seed(cfg.seed, STREAM_INIT)))
     apply_freeze_policy(model, cfg.freeze_policy)
 
@@ -247,8 +254,7 @@ def run_evaluation(
     Returns the metrics report, the per-image score table (probability
     of YES), and the predicted labels, all in manifest order.
     """
-    model = build_model(cfg.architecture, cfg.input_size)
-    apply_weights(model, load_checkpoint(checkpoint_path))
+    model = load_model(cfg.architecture, cfg.input_size, checkpoint_path)
     base = load_base_images(manifest, cfg)
     x = _to_batch([img for img, _ in base])
     targets = _one_hot([label for _, label in base])
@@ -265,8 +271,7 @@ def predict_single(
     checkpoint_path: str | Path, image_path: str | Path, cfg: TrainConfig
 ) -> tuple[str, float]:
     """(predicted label, probability of YES) for one image file."""
-    model = build_model(cfg.architecture, cfg.input_size)
-    apply_weights(model, load_checkpoint(checkpoint_path))
+    model = load_model(cfg.architecture, cfg.input_size, checkpoint_path)
     x = _to_batch([load_one_image(image_path, cfg)])
     probs = model.forward(x, "eval")
     p_yes = float(probs[0, 1])

@@ -7,6 +7,8 @@ with the package under test.
 
 from __future__ import annotations
 
+import struct
+import zlib
 from fractions import Fraction
 
 import numpy as np
@@ -234,6 +236,60 @@ def tokenwise_read_p2(data: bytes) -> tuple[str, np.ndarray | None]:
             return "HeaderParse", None
         values.append(v)
     return "ok", np.array(values, dtype=np.uint8).reshape(height, width)
+
+
+# --- checkpoint files ------------------------------------------------------
+
+def sliced_read_nnck(data: bytes) -> tuple[str, dict[str, np.ndarray] | None]:
+    """Decode a whole .nnck byte string by slicing it, field by field.
+
+    Returns ("ok", name -> float32 table) or (error class name, None).
+    Checks go magic, version, structure (the last 4 bytes are the CRC
+    trailer, never tensor data), trailing bytes, then the CRC.
+    """
+    if len(data) < 4:
+        return "Truncated", None
+    if data[:4] != b"NNCK":
+        return "BadMagic", None
+    end = max(len(data) - 4, 4)
+    fields = [4]  # read position
+
+    def take(n):
+        start = fields[0]
+        if start + n > end:
+            raise EOFError
+        fields[0] = start + n
+        return data[start : start + n]
+
+    try:
+        if struct.unpack("<I", take(4))[0] != 1:
+            return "BadVersion", None
+        count = struct.unpack("<I", take(4))[0]
+        raw = []
+        for _ in range(count):
+            name_bytes = take(struct.unpack("<H", take(2))[0])
+            try:
+                name = name_bytes.decode("utf-8")
+            except UnicodeDecodeError:
+                return "HeaderParse", None
+            if name in [r[0] for r in raw]:
+                return "HeaderParse", None
+            ndim = take(1)[0]
+            shape = tuple(struct.unpack("<I", take(4))[0] for _ in range(ndim))
+            size = 1
+            for extent in shape:
+                size *= extent
+            raw.append((name, shape, take(4 * size)))
+    except EOFError:
+        return "Truncated", None
+    if fields[0] != len(data) - 4:
+        return "HeaderParse", None
+    if struct.unpack("<I", data[-4:])[0] != zlib.crc32(data[:-4]):
+        return "ChecksumMismatch", None
+    return "ok", {
+        name: np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+        for name, shape, payload in raw
+    }
 
 
 # --- image resampling ------------------------------------------------------

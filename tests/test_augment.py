@@ -1,5 +1,7 @@
 """Affine warps, brightness, flips, and the seeded parameter sampler."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,13 @@ class TestConfig:
             AugmentConfig(brightness_lo=1.2, brightness_hi=0.8)
         with pytest.raises(BadConfig):
             AugmentConfig(shear_rad=-0.1)
+
+    @pytest.mark.parametrize("field", ["max_rotation_deg", "shift_fraction", "brightness_lo",
+                                       "brightness_hi", "shear_rad"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_numbers(self, field, value):
+        with pytest.raises(BadConfig, match=f"{field} must be finite"):
+            AugmentConfig(**{field: value})
 
 
 class TestSampleParams:

@@ -1,17 +1,21 @@
 """Weight file round-trips and corruption detection."""
 
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
+from helpers import sliced_read_nnck
+from tumorkit import checkpoint
 from tumorkit.checkpoint import (
     MAGIC,
     VERSION,
     apply_weights,
     dump_weights,
     load_checkpoint,
+    load_model,
     parse_weights,
     save_checkpoint,
     save_weights,
@@ -23,8 +27,10 @@ from tumorkit.errors import (
     HeaderParse,
     ShapeMismatch,
     Truncated,
+    TumorkitError,
+    Unreadable,
 )
-from tumorkit.model import build_vgg_tiny, init_weights
+from tumorkit.model import _assemble, build_vgg_tiny, init_weights
 from tumorkit.rng import Rng
 
 
@@ -236,3 +242,148 @@ class TestAtomicSave:
         save_weights(sample_table(), path)
         assert path.read_bytes() == dump_weights(sample_table())
         assert list(tmp_path.iterdir()) == [path]
+
+
+def framed(*tensors: bytes, count: int | None = None) -> bytes:
+    """A checkpoint of the given encoded tensors with a valid CRC trailer."""
+    body = MAGIC + struct.pack("<II", VERSION, len(tensors) if count is None else count)
+    body += b"".join(tensors)
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def encoded(name: str, tensor: np.ndarray) -> bytes:
+    """One tensor's header and payload, as the file lays them out."""
+    data = np.asarray(tensor, dtype="<f4")
+    return (struct.pack("<H", len(name)) + name.encode() + struct.pack("<B", data.ndim)
+            + struct.pack(f"<{data.ndim}I", *data.shape) + data.tobytes())
+
+
+def outcome(load):
+    """The error class a load raises, or the bytes of what it returned."""
+    try:
+        table = load()
+    except TumorkitError as exc:
+        return type(exc).__name__
+    return {name: tensor.tobytes() for name, tensor in table.items()}
+
+
+class TestLoadModel:
+    """``load_model`` reads a file straight into a new model and fails
+    exactly as ``apply_weights(model, parse_weights(data))`` does."""
+
+    @staticmethod
+    def mini(arch="mini", input_size=4):
+        # conv1 [2, 1, 3, 3] and dense1 [2, 2]: a file of about 170 bytes
+        return _assemble([[2]], False, [], input_size, arch)
+
+    @pytest.fixture
+    def mini_builder(self, monkeypatch):
+        monkeypatch.setattr(checkpoint, "build_model", self.mini)
+
+    @pytest.fixture
+    def blob(self):
+        m = self.mini()
+        g = np.random.default_rng(173)
+        for tensor in m.parameters().values():
+            tensor[...] = g.normal(size=tensor.shape)
+        return dump_weights(m.parameters())
+
+    def check_same_as_parse_and_apply(self, data: bytes, path):
+        path.write_bytes(data)
+        want = outcome(lambda: apply_weights(self.mini(), parse_weights(data)).parameters())
+        got = outcome(lambda: load_model("mini", 4, path).parameters())
+        assert got == want
+        status, table = sliced_read_nnck(data)
+        parsed = outcome(lambda: parse_weights(data))
+        assert parsed == (status if table is None else outcome(lambda: table))
+        return got
+
+    def test_round_trip_resaves_byte_identically(self, tmp_path):
+        src = init_weights(build_vgg_tiny(input_size=16), Rng(13))
+        path = tmp_path / "w.nnck"
+        save_checkpoint(src, path)
+        m = load_model("vgg_tiny", 16, path)
+        assert m.arch == "vgg_tiny" and m.input_size == 16
+        for name, tensor in src.parameters().items():
+            assert np.array_equal(m.parameters()[name], tensor)
+        save_checkpoint(m, tmp_path / "again.nnck")
+        assert (tmp_path / "again.nnck").read_bytes() == path.read_bytes()
+
+    def test_reads_into_the_model_without_a_second_copy(self, tmp_path, monkeypatch):
+        def wide(arch, input_size):  # about 2.6 MB of weights, most in conv2
+            return _assemble([[256, 256]], False, [256], input_size, arch)
+
+        src = wide("wide", 8)
+        g = np.random.default_rng(174)
+        for tensor in src.parameters().values():
+            tensor[...] = g.normal(size=tensor.shape)
+        path = tmp_path / "w.nnck"
+        save_checkpoint(src, path)
+        monkeypatch.setattr(checkpoint, "build_model", wide)
+        weights = sum(t.nbytes for t in src.parameters().values())
+        tracemalloc.start()
+        try:
+            m = load_model("wide", 8, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * weights  # the model's own tensors, and no table or file copy
+        for name, tensor in src.parameters().items():
+            assert m.parameters()[name].tobytes() == tensor.tobytes()
+
+    def test_every_byte_flip(self, mini_builder, blob, tmp_path):
+        assert isinstance(self.check_same_as_parse_and_apply(blob, tmp_path / "w"), dict)
+        for pos in range(len(blob)):
+            for flip in (0x01, 0xFF):
+                broken = bytearray(blob)
+                broken[pos] ^= flip
+                got = self.check_same_as_parse_and_apply(bytes(broken), tmp_path / "w")
+                assert isinstance(got, str), (pos, flip)
+
+    def test_every_clean_cut(self, mini_builder, blob, tmp_path):
+        for cut in range(len(blob)):
+            got = self.check_same_as_parse_and_apply(blob[:cut], tmp_path / "w")
+            assert got in ("Truncated", "HeaderParse", "ChecksumMismatch"), cut
+
+    def test_trailing_bytes(self, mini_builder, blob, tmp_path):
+        data = blob[:-4] + b"\x99\x99"
+        data += struct.pack("<I", zlib.crc32(data))
+        assert self.check_same_as_parse_and_apply(data, tmp_path / "w") == "HeaderParse"
+
+    def test_duplicate_name(self, mini_builder, tmp_path):
+        params = self.mini().parameters()
+        tensors = [encoded(name, t) for name, t in params.items()]
+        data = framed(*tensors, tensors[0])
+        assert self.check_same_as_parse_and_apply(data, tmp_path / "w") == "HeaderParse"
+
+    @pytest.mark.parametrize("change", ["unknown", "wrong shape", "missing", "extra"])
+    def test_table_that_does_not_fit_the_model(self, mini_builder, tmp_path, change):
+        params = dict(self.mini().parameters())
+        if change == "unknown":
+            params["conv9.weight"] = np.zeros((1, 1, 3, 3), dtype=np.float32)
+        elif change == "wrong shape":
+            params["conv1.bias"] = np.zeros(9, dtype=np.float32)
+        elif change == "missing":
+            del params["dense1.weight"]
+        else:  # an unknown name first, then a wrong shape: the first is reported
+            params = {"zzz": np.zeros(3, dtype=np.float32), **params,
+                      "dense1.bias": np.zeros(5, dtype=np.float32)}
+        data = framed(*(encoded(name, t) for name, t in params.items()))
+        path = tmp_path / "w"
+        assert self.check_same_as_parse_and_apply(data, path) == "ShapeMismatch"
+        with pytest.raises(ShapeMismatch) as loaded:
+            load_model("mini", 4, path)
+        with pytest.raises(ShapeMismatch) as applied:
+            apply_weights(self.mini(), parse_weights(data))
+        assert str(loaded.value) == str(applied.value)
+        # a corrupted file that also does not fit reports the corruption
+        broken = bytearray(data)
+        broken[-6] ^= 0x01
+        assert self.check_same_as_parse_and_apply(bytes(broken), path) == "ChecksumMismatch"
+
+    def test_unreadable_path(self, tmp_path):
+        for path in (tmp_path / "missing.nnck", tmp_path):
+            with pytest.raises(Unreadable, match=str(path)):
+                load_model("vgg_tiny", 16, path)
+            with pytest.raises(Unreadable, match=str(path)):
+                load_checkpoint(path)

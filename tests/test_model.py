@@ -388,6 +388,25 @@ class TestFrozenTrunk:
         assert grads["conv1.weight"].tobytes() == dw.tobytes()
         assert grads["conv1.bias"].tobytes() == db.tobytes()
 
+    def test_pool_routing_only_where_a_backward_reads_it(self, monkeypatch):
+        asked = []
+        original = nn.maxpool2
+
+        def recording(x, routing=True):
+            out = original(x, routing=routing)
+            asked.append((routing, out[1] is not None))
+            return out
+
+        monkeypatch.setattr(nn, "maxpool2", recording)
+        self.train_step(self.make(FREEZE_FEATURES))
+        assert asked == [(False, False)] * 3  # every pool is in the frozen trunk
+        asked.clear()
+        self.train_step(self.make(FREEZE_NONE))
+        assert asked == [(True, True)] * 3
+        asked.clear()
+        self.make(FREEZE_NONE).forward(np.zeros((1, 1, 16, 16), dtype=np.float32))
+        assert asked == [(False, False)] * 3
+
     def test_head_on_trunk_equals_forward_logits_bitwise(self):
         m = self.make(FREEZE_FEATURES)
         x = np.random.default_rng(165).normal(size=(7, 1, 16, 16)).astype(np.float32)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from helpers import (
     naive_conv2d_backward,
     naive_maxpool2,
 )
+from tumorkit import nn
 from tumorkit.errors import BadTargets, InvalidProbability, OddSpatialDim, ShapeMismatch
 from tumorkit.nn import (
     AdamState,
@@ -154,6 +156,77 @@ class TestConv:
             conv2d_forward(np.zeros((1, 3, 4, 4)), layer)
 
 
+class TestBlockedPatchProduct:
+    """Built and multiplied block by block, the patch product gives the
+    bytes of one product over the whole patch matrix."""
+
+    @staticmethod
+    def check(monkeypatch, shape, dtype, out_c, block_bytes, seed):
+        """Compare the blocked forward and dx with one-shot products;
+        return the blocks of the forward input."""
+        monkeypatch.setattr(nn, "BLOCK_BYTES", block_bytes)
+        g = np.random.default_rng(seed)
+        n, c, h, w = shape
+        x = g.normal(size=shape).astype(dtype)
+        layer = ConvLayer(weight=g.normal(size=(out_c, c, 3, 3)).astype(dtype),
+                          bias=g.normal(size=(out_c,)).astype(dtype))
+        want = layer.weight.reshape(out_c, -1) @ nn._columns(x)
+        want += layer.bias[:, None]
+        want = want.reshape(out_c, n, h, w).transpose(1, 0, 2, 3)
+        assert conv2d_forward(x, layer).tobytes() == np.ascontiguousarray(want).tobytes()
+
+        dy = g.normal(size=(n, out_c, h, w)).astype(dtype)
+        w_flip = layer.weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+        want_dx = (w_flip @ nn._columns(dy)).reshape(c, n, h, w).transpose(1, 0, 2, 3)
+        dx, _, _ = conv2d_backward(x, layer, dy)
+        assert dx.tobytes() == np.ascontiguousarray(want_dx).tobytes()
+        assert len(nn._blocks(dy)) > 1
+        return nn._blocks(x)
+
+    def test_row_blocks_inside_one_image(self, monkeypatch):
+        # 5 rows of 48 columns per block: 8 full blocks and one of 2 rows per image
+        blocks = self.check(monkeypatch, (2, 16, 42, 48), np.float32, 32, 16 * 9 * 48 * 4 * 5, 61)
+        assert [b for b in blocks if b[0] == 1] == [
+            (1, 2, r, min(r + 5, 42)) for r in range(0, 42, 5)
+        ]
+        assert len(blocks) == 18
+
+    def test_several_images_per_block_with_a_short_last_group(self, monkeypatch):
+        blocks = self.check(monkeypatch, (7, 8, 24, 24), np.float32, 16, 8 * 9 * 24 * 24 * 4 * 3, 62)
+        assert blocks == [(0, 3, 0, 24), (3, 6, 0, 24), (6, 7, 0, 24)]
+
+    def test_single_input_channel(self, monkeypatch):
+        blocks = self.check(monkeypatch, (3, 1, 48, 48), np.float32, 8, 9 * 48 * 4 * 7, 63)
+        assert len(blocks) == 3 * 7 and blocks[-1] == (2, 3, 42, 48)
+
+    def test_float64(self, monkeypatch):
+        blocks = self.check(monkeypatch, (2, 8, 32, 32), np.float64, 16, 8 * 9 * 32 * 8 * 6, 64)
+        assert len(blocks) == 2 * 6 and blocks[5] == (0, 1, 30, 32)
+
+    def test_a_row_larger_than_a_block_is_a_block(self, monkeypatch):
+        monkeypatch.setattr(nn, "BLOCK_BYTES", 1)
+        blocks = nn._blocks(np.zeros((2, 3, 4, 5), dtype=np.float32))
+        assert blocks == [(i, i + 1, r, r + 1) for i in range(2) for r in range(4)]
+
+    def test_vgg_tiny_products_are_one_block(self):
+        # (channels in, size) of every conv input and dy in a 16-image vgg_tiny@64 batch
+        for c, size in [(1, 64), (8, 32), (16, 16), (16, 32), (32, 16)]:
+            assert len(nn._blocks(np.empty((16, c, size, size), dtype=np.float32))) == 1
+
+    def test_forward_peak_memory_stays_near_input_plus_output(self):
+        g = np.random.default_rng(65)
+        x = g.normal(size=(1, 64, 112, 112)).astype(np.float32)
+        layer = ConvLayer(weight=g.normal(size=(64, 64, 3, 3)).astype(np.float32),
+                          bias=np.zeros(64, dtype=np.float32))
+        tracemalloc.start()
+        try:
+            y = conv2d_forward(x, layer)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * (x.nbytes + y.nbytes)
+
+
 class TestMaxPool:
     def test_known_windows(self):
         x = np.array([[1.0, 2.0], [4.0, 3.0]]).reshape(1, 1, 2, 2)
@@ -218,6 +291,14 @@ class TestMaxPool:
     def test_odd_size_rejected(self):
         with pytest.raises(OddSpatialDim):
             maxpool2(np.zeros((1, 1, 3, 4)))
+
+    def test_without_routing_the_output_is_the_same(self):
+        g = np.random.default_rng(94)
+        x = g.normal(size=(2, 3, 6, 8)).astype(np.float32)
+        x[0, 0, :2, :2] = 1.0  # a tied window
+        y, routing = maxpool2(x, routing=False)
+        assert routing is None
+        assert y.dtype == x.dtype and y.tobytes() == maxpool2(x)[0].tobytes()
 
 
 class TestGlobalAvgPool:

@@ -74,6 +74,8 @@ class TestTrainConfig:
             dict(freeze_policy="half"),
             dict(input_size=128),  # vgg16 input is fixed
             dict(architecture="vgg_tiny", input_size=30),
+            dict(learning_rate=math.nan),
+            dict(learning_rate=math.inf),
         ],
     )
     def test_rejects_bad_values(self, overrides):
@@ -507,6 +509,56 @@ class TestCliErrors:
         assert err.count("\n") == 1
         assert err.startswith(f"error: BadConfig: {scores}:3: ")
         assert problem in err
+
+    @pytest.mark.parametrize(
+        "entry, problem",
+        [
+            ('"learning_rate": NaN', "learning_rate must be positive and finite"),
+            ('"learning_rate": 1e400', "learning_rate must be positive and finite"),
+            ('"augment": {"max_rotation_deg": NaN}', "max_rotation_deg must be finite"),
+            ('"augment": {"shear_rad": Infinity}', "shear_rad must be finite"),
+        ],
+        ids=["nan-learning-rate", "overflowing-learning-rate", "nan-rotation", "inf-shear"],
+    )
+    def test_non_finite_config_number(self, blob_data, tmp_path, capsys, entry, problem):
+        root, _ = blob_data
+        config = tmp_path / "c.json"
+        # JSON text, since json.dumps never writes 1e400
+        config.write_text(json.dumps({"train": TINY})[:-2] + ", " + entry + "}}")
+        assert main(["train", "--config", str(config), "--data-dir", str(root),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = stderr_error(capsys)
+        assert err.count("\n") == 1
+        assert err.startswith("error: BadConfig: ")
+        assert problem in err
+
+    @pytest.mark.parametrize("which", ["image", "checkpoint"])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_predict_path(self, trained, tmp_path, capsys, which, kind):
+        result, *_, test_m, _ = trained
+        bad = tmp_path / "ghost.pgm" if kind == "missing" else tmp_path
+        image = bad if which == "image" else test_m.entries[0].path
+        checkpoint = bad if which == "checkpoint" else result.best_path
+        config = write_config(tmp_path / "c.json", train=TINY)
+        argv = ["predict", "--config", config, "--checkpoint", str(checkpoint), str(image)]
+        assert main(argv) == 1
+        err = stderr_error(capsys)
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: Unreadable: cannot read {which} {bad}: ")
+
+    def test_empty_train_manifest(self, blob_data, tmp_path, capsys):
+        _, manifest = blob_data
+        entry = manifest.entries[0]
+        split_dir = tmp_path / "splits"
+        split_dir.mkdir()
+        (split_dir / "train.csv").write_text("path,label\n")
+        for name in ("val.csv", "test.csv"):
+            (split_dir / name).write_text(f"path,label\n{entry.path},{entry.label}\n")
+        config = write_config(tmp_path / "c.json", train=TINY)
+        assert main(["train", "--config", config, "--out", str(tmp_path)]) == 1
+        err = stderr_error(capsys)
+        assert err.count("\n") == 1
+        assert err.startswith("error: BadConfig: the train manifest lists no images")
 
     def test_missing_data_dir_is_reported(self, tmp_path, capsys):
         assert main(["split", "--data-dir", str(tmp_path / "ghost"),
