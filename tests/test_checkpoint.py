@@ -244,10 +244,9 @@ class TestAtomicSave:
         assert list(tmp_path.iterdir()) == [path]
 
 
-def framed(*tensors: bytes, count: int | None = None) -> bytes:
+def framed(*tensors: bytes) -> bytes:
     """A checkpoint of the given encoded tensors with a valid CRC trailer."""
-    body = MAGIC + struct.pack("<II", VERSION, len(tensors) if count is None else count)
-    body += b"".join(tensors)
+    body = MAGIC + struct.pack("<II", VERSION, len(tensors)) + b"".join(tensors)
     return body + struct.pack("<I", zlib.crc32(body))
 
 
