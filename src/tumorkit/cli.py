@@ -102,7 +102,7 @@ def load_configs(
     if config_path is not None:
         try:
             doc = json.loads(Path(config_path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise BadConfig(f"cannot read config {config_path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise BadConfig("config root must be a JSON object")
@@ -231,6 +231,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # parsing keeps no state in the parser, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tumorkit", description="Brain MRI tumor detection pipeline"

@@ -14,11 +14,12 @@ negatives at 80:10:10 this yields 205/24/24.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import BadConfig, ClassTooSmall, EmptyClass, MissingDir
+from .errors import BadConfig, ClassTooSmall, EmptyClass, MissingDir, Unreadable
 from .metrics import CLASSES, NO, YES
 from .rng import Rng, STREAM_SPLIT, mix_seed
 
@@ -151,10 +152,25 @@ def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
             writer.writerow([entry.path, entry.label])
 
 
+def read_csv(path: str | Path, what: str):
+    """A csv reader over the text of the file at ``path``.
+
+    The file is read whole first, so a file that cannot be opened or
+    read, or whose bytes do not decode, raises Unreadable naming
+    ``what`` and the path before any row is parsed.
+    """
+    try:
+        with open(path, newline="") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise Unreadable(f"cannot read {what} {path}: {reason}") from exc
+    return csv.reader(io.StringIO(text, newline=""))
+
+
 def read_manifest(path: str | Path) -> DatasetManifest:
     """Read a manifest CSV written by :func:`write_manifest`."""
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
+    rows = list(read_csv(path, "manifest"))
     if not rows or rows[0] != ["path", "label"]:
         raise BadConfig(f"{path} is not a manifest CSV (missing path,label header)")
     entries = []

@@ -256,9 +256,11 @@ def maxpool2(x: np.ndarray, routing: bool = True) -> tuple[np.ndarray, np.ndarra
     top, bottom = np.maximum(a, b), np.maximum(c, d)
     if not routing:
         return np.maximum(top, bottom), None
-    # strict comparisons send ties to the earlier position
+    # strict comparisons send ties to the earlier position; codes are
+    # 2 * low + right, built from bool operations viewed as int8
     low = bottom > top
-    codes = (2 * low + np.where(low, d > c, b > a)).astype(np.int8)
+    right = (d > c) & low | (b > a) & ~low
+    codes = low.view(np.int8) << 1 | right.view(np.int8)
     return np.maximum(top, bottom), codes
 
 

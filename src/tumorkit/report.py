@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .dataset import DatasetManifest, ManifestEntry
+from .dataset import DatasetManifest, ManifestEntry, read_csv
 from .errors import BadConfig, TumorkitError
 from .metrics import CLASSES, MetricsReport, ScoredSample
 
@@ -124,22 +124,21 @@ def read_scores_csv(path: str | Path):
     A malformed row raises BadConfig naming ``path:line``.
     """
     entries, samples, predictions = [], [], []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        if next(reader, None) != ["path", "label", "score", "prediction"]:
-            raise BadConfig(f"{path} is not a scores CSV")
-        for row in reader:
-            try:
-                if len(row) != 4:
-                    raise ValueError(f"expected 4 fields, got {len(row)}")
-                image, label, score, predicted = row
-                if predicted not in CLASSES:
-                    raise ValueError(f"prediction must be one of {CLASSES}, got {predicted!r}")
-                entries.append(ManifestEntry(image, label))
-                samples.append(ScoredSample(label, float(score)))
-            except (ValueError, TumorkitError) as exc:
-                raise BadConfig(f"{path}:{reader.line_num}: {exc}") from None
-            predictions.append(predicted)
+    reader = read_csv(path, "scores")
+    if next(reader, None) != ["path", "label", "score", "prediction"]:
+        raise BadConfig(f"{path} is not a scores CSV")
+    for row in reader:
+        try:
+            if len(row) != 4:
+                raise ValueError(f"expected 4 fields, got {len(row)}")
+            image, label, score, predicted = row
+            if predicted not in CLASSES:
+                raise ValueError(f"prediction must be one of {CLASSES}, got {predicted!r}")
+            entries.append(ManifestEntry(image, label))
+            samples.append(ScoredSample(label, float(score)))
+        except (ValueError, TumorkitError) as exc:
+            raise BadConfig(f"{path}:{reader.line_num}: {exc}") from None
+        predictions.append(predicted)
     try:
         return DatasetManifest(entries), samples, predictions
     except ValueError as exc:
@@ -152,26 +151,25 @@ def read_history_csv(path: str | Path) -> list[EpochStats]:
     A malformed row raises BadConfig naming ``path:line``.
     """
     out = []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        if next(reader, None) != ["epoch", "train_loss", "train_acc", "val_loss", "val_acc"]:
-            raise BadConfig(f"{path} is not a history CSV")
-        for row in reader:
-            try:
-                if len(row) != 5:
-                    raise ValueError(f"expected 5 fields, got {len(row)}")
-                out.append(
-                    EpochStats(
-                        epoch=int(row[0]),
-                        train_loss=float(row[1]),
-                        train_acc=float(row[2]),
-                        val_loss=float(row[3]) if row[3] else None,
-                        val_acc=float(row[4]) if row[4] else None,
-                        seconds=0.0,
-                    )
+    reader = read_csv(path, "history")
+    if next(reader, None) != ["epoch", "train_loss", "train_acc", "val_loss", "val_acc"]:
+        raise BadConfig(f"{path} is not a history CSV")
+    for row in reader:
+        try:
+            if len(row) != 5:
+                raise ValueError(f"expected 5 fields, got {len(row)}")
+            out.append(
+                EpochStats(
+                    epoch=int(row[0]),
+                    train_loss=float(row[1]),
+                    train_acc=float(row[2]),
+                    val_loss=float(row[3]) if row[3] else None,
+                    val_acc=float(row[4]) if row[4] else None,
+                    seconds=0.0,
                 )
-            except ValueError as exc:
-                raise BadConfig(f"{path}:{reader.line_num}: {exc}") from None
+            )
+        except ValueError as exc:
+            raise BadConfig(f"{path}:{reader.line_num}: {exc}") from None
     return out
 
 

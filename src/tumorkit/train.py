@@ -13,6 +13,12 @@ augmentation; the best-validation-accuracy weights and the final
 weights are both saved.  The frozen trunk (see ``Model.trunk``)
 gives the same validation features every epoch, so they are computed
 once per run and later epochs run only the head.
+
+When validation accuracy improves, only the tensors named in the
+gradient table are copied: frozen tensors cannot change, so
+``best.nnck`` takes them from the model itself.  Under
+``freeze_features`` that keeps the best-epoch snapshot to the dense
+head instead of a second copy of every conv weight.
 """
 
 from __future__ import annotations
@@ -185,7 +191,7 @@ def run_training(
     history: list[EpochStats] = []
     val_trunk: list[np.ndarray] | None = None
     best_acc: float | None = None
-    best_weights: dict[str, np.ndarray] | None = None
+    best_updated: dict[str, np.ndarray] | None = None  # the updated tensors at best_acc
     for epoch in range(1, cfg.epochs + 1):
         started = time.perf_counter()
         order = list(range(len(train_base)))
@@ -234,13 +240,14 @@ def run_training(
         )
         if val_acc is not None and (best_acc is None or val_acc > best_acc):
             best_acc = val_acc
-            best_weights = {name: tensor.copy() for name, tensor in params.items()}
+            # Adam keeps moments for exactly the tensors the gradient tables name
+            best_updated = {name: params[name].copy() for name in state.m}
 
     final_path = ckpt_dir / FINAL_CHECKPOINT
     save_checkpoint(model, final_path)
     best_path = ckpt_dir / BEST_CHECKPOINT
-    if best_weights is not None:
-        save_weights(best_weights, best_path)
+    if best_updated is not None:
+        save_weights({name: best_updated.get(name, t) for name, t in params.items()}, best_path)
     else:
         save_checkpoint(model, best_path)
     return TrainResult(best_path, final_path, best_acc, history)

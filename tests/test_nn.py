@@ -278,6 +278,19 @@ class TestMaxPool:
         assert routing.reshape(-1).tolist() == first_argmax
         assert np.array_equal(maxpool2_backward(routing, dy), want_dx)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_routing_matches_first_argmax_on_ties(self, dtype):
+        g = np.random.default_rng(94)
+        # three levels plus signed zeros, so most windows hold a tie
+        x = g.choice(np.array([0.0, -0.0, 1.0, 2.0]), size=(3, 4, 12, 16)).astype(dtype)
+        x[0] = 1.5  # plateaus: every window of a whole image ties four ways
+        x[1, :2] = 0.0  # all-zero windows
+        windows = x.reshape(3, 4, 6, 2, 8, 2).transpose(0, 1, 2, 4, 3, 5).reshape(3, 4, 6, 8, 4)
+        y, routing = maxpool2(x)
+        assert routing.dtype == np.int8
+        assert np.array_equal(routing, windows.argmax(axis=-1))  # argmax takes the first
+        assert np.array_equal(y, windows.max(axis=-1))
+
     def test_all_zero_windows_after_relu(self):
         g = np.random.default_rng(93)
         x = relu(-np.abs(g.normal(size=(2, 3, 4, 6))))

@@ -4,16 +4,19 @@ Everything here runs the tiny architecture on small synthetic datasets
 so the whole module stays in the seconds range.
 """
 
+import hashlib
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 
 import pytest
 
+from tumorkit import checkpoint
 from tumorkit.checkpoint import parse_weights
-from tumorkit.cli import SPLIT_FILES, main
+from tumorkit.cli import SPLIT_FILES, build_parser, main
 from tumorkit.dataset import DatasetManifest, SplitConfig, read_manifest, stratified_split
 from tumorkit.errors import BadConfig, NoForeground
 from tumorkit.metrics import CLASSES, NO, YES, label_from_score
@@ -56,6 +59,37 @@ def trained(blob_data, tmp_path_factory):
     out = tmp_path_factory.mktemp("trained")
     result = run_training(tiny_cfg(), train_m, val_m, out)
     return result, train_m, val_m, test_m, out
+
+
+@pytest.fixture(scope="module")
+def transfer(trained, tmp_path_factory):
+    """A freeze_features run from the trained checkpoint whose best
+    epoch (the first) is not its last, with the weight tables its
+    checkpoint writers were given: {"best": table, "final": model}."""
+    result, train_m, val_m, test_m, _ = trained
+    cfg = tiny_cfg(
+        epochs=3, freeze_policy="freeze_features", init_checkpoint=str(result.final_path)
+    )
+    saved = {}
+
+    def save_weights(table, path):
+        saved["best"] = table
+        checkpoint.save_weights(table, path)
+
+    def save_checkpoint(model, path):
+        saved["final"] = model
+        checkpoint.save_checkpoint(model, path)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("tumorkit.train.save_weights", save_weights)
+        patch.setattr("tumorkit.train.save_checkpoint", save_checkpoint)
+        val_m = DatasetManifest(val_m.entries + test_m.entries)
+        out = run_training(cfg, train_m, val_m, tmp_path_factory.mktemp("transfer"))
+    return out, saved
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestTrainConfig:
@@ -151,6 +185,33 @@ class TestRunTraining:
         assert sizes == [3] * (len(val_m) // 3) + [len(val_m) % 3]
         train_batches = -(-len(train_m) // cfg.batch_size)
         assert sum(mode == "train" for mode, _ in calls) == cfg.epochs * train_batches
+
+    def test_best_snapshot_copies_only_updated_tensors(self, transfer):
+        result, saved = transfer
+        assert [s.val_acc for s in result.history] == [1.0, 0.75, 0.75]
+        best, params = saved["best"], saved["final"].parameters()
+        assert list(best) == list(params)
+        for name, tensor in best.items():
+            # frozen conv tensors cannot change, so they are the model's own
+            assert np.shares_memory(tensor, params[name]) == name.startswith("conv"), name
+
+    def test_checkpoint_bytes_are_pinned(self, trained, transfer):
+        # the bytes written when every tensor was copied at the best epoch;
+        # that is the first epoch of both runs, so best and final differ
+        result, *_ = trained
+        assert sha256(result.best_path) == (
+            "ad526a12f572af92935a294f5fe802842b38f4a9345dff0baa473bf30438f940"
+        )
+        assert sha256(result.final_path) == (
+            "0807b247cf56784523ab64ca69362b2686ba001ea968584e3d56080cf3dc760b"
+        )
+        frozen, _ = transfer
+        assert sha256(frozen.best_path) == (
+            "5fe7bd415f91ffd84a56e341d0bf78bbee731d2ef2e521b09ad4a87772978e84"
+        )
+        assert sha256(frozen.final_path) == (
+            "177a54e923e6b7f31541d2fea95c6e99e4fb23bd6641bdedfd4d9029d6b9fd86"
+        )
 
     def test_init_checkpoint_resumes_from_saved_weights(self, blob_data, trained, tmp_path):
         _, manifest = blob_data
@@ -338,6 +399,39 @@ class TestCliVariants:
         assert written[0].read_bytes().startswith(b"P5")
 
 
+class TestParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_commands_back_to_back_behave_as_alone(self, trained, blob_data, tmp_path, capsys):
+        result, *_, test_m, _ = trained
+        root, _ = blob_data
+        config = write_config(tmp_path / "c.json", train=TINY)
+        commands = [
+            ["predict", "--config", config, "--checkpoint", str(result.best_path),
+             test_m.entries[0].path],
+            ["eval", "--config", config, "--out", str(tmp_path / "untrained")],
+            ["split", "--seed", "11", "--data-dir", str(root), "--out", str(tmp_path / "a")],
+            ["split", "--data-dir", str(root), "--out", str(tmp_path / "b")],
+        ]
+
+        def run(argv):
+            code = main(argv)
+            captured = capsys.readouterr()
+            val = Path(argv[-1]) / "splits" / "val.csv"
+            return code, captured.out, captured.err, val.read_bytes() if val.is_file() else None
+
+        together = [run(argv) for argv in commands]
+        alone = []
+        for argv in commands:
+            build_parser.cache_clear()
+            alone.append(run(argv))
+        assert together == alone
+        # eval saw no --checkpoint, and the unseeded split no --seed
+        assert together[1][:2] == (1, "") and "not found" in together[1][2]
+        assert together[2][3] != together[3][3]
+
+
 def stderr_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
@@ -402,6 +496,15 @@ class TestCliErrors:
         assert main(["split", "--config", str(bad), "--data-dir", "x",
                      "--out", str(tmp_path / "o")]) == 1
         assert "cannot read config" in stderr_error(capsys)
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "c.json"
+        bad.write_bytes(b'{"train": {"seed": "\xff"}}')
+        assert main(["split", "--config", str(bad), "--data-dir", "x",
+                     "--out", str(tmp_path / "o")]) == 1
+        err = stderr_error(capsys)
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: BadConfig: cannot read config {bad}: 'utf-8' codec")
 
     def test_config_root_must_be_object(self, tmp_path, capsys):
         bad = tmp_path / "c.json"
@@ -559,6 +662,24 @@ class TestCliErrors:
         err = stderr_error(capsys)
         assert err.count("\n") == 1
         assert err.startswith("error: BadConfig: the train manifest lists no images")
+
+    @pytest.mark.parametrize("which", ["manifest", "scores", "history"])
+    def test_file_that_is_not_utf8(self, tmp_path, capsys, which):
+        split_dir = tmp_path / "splits"
+        split_dir.mkdir()
+        for name in SPLIT_FILES:
+            (split_dir / name).write_bytes(b"path,label\nyes_\xff\xfe.pgm,yes\n")
+        (tmp_path / "scores.csv").write_text("path,label,score,prediction\na.pgm,yes,0.5,yes\n")
+        (tmp_path / "history.csv").write_bytes(b"epoch,\xff\n")
+        if which == "scores":
+            (tmp_path / "scores.csv").write_bytes(b"path,label,score,prediction\n\xff,yes,0.5,yes\n")
+        bad = {"manifest": split_dir / "train.csv", "scores": tmp_path / "scores.csv",
+               "history": tmp_path / "history.csv"}[which]
+        command = "train" if which == "manifest" else "report"
+        assert main([command, "--out", str(tmp_path)]) == 1
+        err = stderr_error(capsys)
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: Unreadable: cannot read {which} {bad}: 'utf-8' codec")
 
     def test_missing_data_dir_is_reported(self, tmp_path, capsys):
         assert main(["split", "--data-dir", str(tmp_path / "ghost"),
