@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadConfig
+from .errors import BadConfig, check_field_types
 from .pgm import GrayImage8
 from .rng import Rng
 
@@ -47,6 +47,7 @@ class AugmentConfig:
     symmetric_rotation: bool = False  # sample [-max, +max] instead of [0, max]
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("max_rotation_deg", "shift_fraction", "brightness_lo", "brightness_hi",
                      "shear_rad"):
             if not math.isfinite(getattr(self, name)):

@@ -33,6 +33,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .dataset import atomic_write
 from .errors import (
     BadMagic,
     BadVersion,
@@ -80,21 +81,10 @@ def dump_weights(table: Mapping[str, np.ndarray]) -> bytes:
 
 
 def save_weights(table: Mapping[str, np.ndarray], path: str | Path) -> None:
-    """Write a name -> tensor table to ``path`` atomically.
-
-    The bytes go to a temporary file in the same directory, which then
-    replaces ``path``; if anything fails first, the temporary file is
-    removed and whatever was at ``path`` is left as it was.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as handle:
-            _write_weights(table, handle.write)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    """Write a name -> tensor table to ``path`` atomically (see
+    :func:`~tumorkit.dataset.atomic_write`)."""
+    with atomic_write(path) as handle:
+        _write_weights(table, handle.write)
 
 
 # payloads are read and checksummed in pieces of this many bytes, each

@@ -23,18 +23,18 @@ import dataclasses
 import functools
 import json
 import sys
-import typing
 from pathlib import Path
 
 from .dataset import (
     DatasetManifest,
     SplitConfig,
+    atomic_write,
     read_manifest,
     scan_dataset,
     stratified_split,
     write_manifest,
 )
-from .errors import BadConfig, TumorkitError
+from .errors import BadConfig, TumorkitError, field_types
 from .metrics import evaluate_scores
 from .pgm import write_pgm
 from .report import (
@@ -56,42 +56,27 @@ from .train import (
 SPLIT_FILES = ("train.csv", "val.csv", "test.csv")
 
 
-_JSON_TYPES = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
-               type(None): "null"}
-# resolving the string annotations costs several times the rest of a config load,
-# and their types never change: resolve each class once
-_type_hints = functools.cache(typing.get_type_hints)
-
-
-def _fits(allowed: tuple[type, ...], value) -> bool:
-    """Whether a JSON value has one of a config field's types: an integer
-    field takes integers but not booleans, a float field takes any number."""
-    if isinstance(value, bool):
-        return bool in allowed
-    return isinstance(value, allowed + ((int,) if float in allowed else ()))
-
-
 def _from_mapping(cls, data, context: str, overrides: dict):
-    """Build a config dataclass from a JSON object, rejecting unknown keys
-    and values of the wrong type; nested config objects are built the same
-    way.  ``overrides`` are applied last, unchecked."""
+    """Build a config dataclass from a JSON object, rejecting unknown keys;
+    nested config objects are built the same way.  ``overrides`` are
+    applied last.  A value of the wrong type is named by its full key."""
     if not isinstance(data, dict):
         raise BadConfig(f"{context} must be a JSON object, got {type(data).__name__}")
-    hints = _type_hints(cls)  # field name -> type
+    hints = field_types(cls)  # field name -> type
     unknown = sorted(set(data) - set(hints))
     if unknown:
         raise BadConfig(f"{context} has unknown keys: {', '.join(unknown)}")
-    fields = {}
-    for key, value in data.items():
-        hint = hints[key]
-        allowed = typing.get_args(hint) or (hint,)  # str | None -> (str, NoneType)
-        if dataclasses.is_dataclass(hint):
-            value = _from_mapping(hint, value, f"{context}.{key}", {})
-        elif not _fits(allowed, value):
-            want = " or ".join(_JSON_TYPES[t] for t in allowed)
-            raise BadConfig(f"{context}.{key} must be {want}, got {json.dumps(value)}")
-        fields[key] = value
-    return cls(**{**fields, **overrides})
+    fields = {
+        key: _from_mapping(hints[key], value, f"{context}.{key}", {})
+        if dataclasses.is_dataclass(hints[key]) else value
+        for key, value in data.items()
+    }
+    try:
+        return cls(**{**fields, **overrides})
+    except BadConfig as exc:
+        if exc.field is None:
+            raise
+        raise BadConfig(f"{context}.{exc}", field=exc.field) from exc
 
 
 def load_configs(
@@ -159,7 +144,8 @@ def _cmd_preprocess(args, split_cfg: SplitConfig, train_cfg: TrainConfig) -> Non
         processed = load_one_image(entry.path, train_cfg)
         dest = out / "preprocessed" / entry.label / Path(entry.path).name
         dest.parent.mkdir(parents=True, exist_ok=True)
-        dest.write_bytes(write_pgm(processed))
+        with atomic_write(dest) as handle:
+            handle.write(write_pgm(processed))
     print(f"preprocessed {len(manifest)} images into {out / 'preprocessed'}")
 
 

@@ -13,13 +13,15 @@ negatives at 80:10:10 this yields 205/24/24.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import BadConfig, ClassTooSmall, EmptyClass, MissingDir, Unreadable
+from .errors import BadConfig, ClassTooSmall, EmptyClass, MissingDir, Unreadable, check_field_types
 from .metrics import CLASSES, NO, YES
 from .rng import Rng, STREAM_SPLIT, mix_seed
 
@@ -72,9 +74,10 @@ class SplitConfig:
     stratified: bool = True
 
     def __post_init__(self):
+        check_field_types(self)
         ratios = (self.train_ratio, self.val_ratio, self.test_ratio)
-        if any(r <= 0 for r in ratios):
-            raise BadConfig(f"split ratios must be positive, got {ratios}")
+        if not all(math.isfinite(r) and r > 0 for r in ratios):
+            raise BadConfig(f"split ratios must be positive and finite, got {ratios}")
         if abs(sum(ratios) - 1.0) > 1e-9:
             raise BadConfig(f"split ratios must sum to 1, got {sum(ratios)}")
 
@@ -143,9 +146,28 @@ def stratified_split(
     )
 
 
+@contextlib.contextmanager
+def atomic_write(path: str | Path, mode: str = "wb", **open_args):
+    """Open a temporary sibling of ``path`` for writing and move it onto
+    ``path`` when the block ends.
+
+    If the block raises, the temporary file is removed and whatever was
+    at ``path`` is left as it was, so a reader never sees half a file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **open_args) as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
     """Write the manifest as a two-column CSV with a header row."""
-    with open(path, "w", newline="") as handle:
+    with atomic_write(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["path", "label"])
         for entry in manifest.entries:

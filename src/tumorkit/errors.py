@@ -2,8 +2,16 @@
 
 Every failure raised by this package derives from :class:`TumorkitError`,
 so callers (and the CLI) can catch one type and report the concrete class
-name as a machine-parsable error code.
+name as a machine-parsable error code.  The config dataclasses share one
+field-type rule, :func:`check_field_types`, which raises :class:`BadConfig`.
 """
+
+from __future__ import annotations
+
+import functools
+import json
+import numbers
+import typing
 
 
 class TumorkitError(Exception):
@@ -101,4 +109,53 @@ class NonFiniteLoss(TumorkitError):
 
 
 class BadConfig(TumorkitError):
-    """Configuration file or value is invalid."""
+    """Configuration file or value is invalid; ``field`` names the config
+    field when the fault is that field's value type."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
+
+
+# --- config field types ---
+
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
+               type(None): "null"}
+# an int field takes any integer but a boolean, a float field any real number
+# but a boolean; the plain types go first, as they are the common case
+_ACCEPTS = {int: (int, numbers.Integral), float: (float, int, numbers.Real)}
+# resolving the string annotations costs several times the rest of a config load,
+# and their types never change: resolve each class once
+field_types = functools.cache(typing.get_type_hints)
+
+
+@functools.cache
+def _field_rules(cls) -> tuple[tuple[str, tuple[type, ...], bool, str], ...]:
+    """(name, accepted types, whether booleans fit, wanted-type wording)
+    for each field of a config dataclass."""
+    rules = []
+    for name, hint in field_types(cls).items():
+        allowed = typing.get_args(hint) or (hint,)  # str | None -> (str, NoneType)
+        accepts = tuple(a for t in allowed for a in _ACCEPTS.get(t, (t,)))
+        want = " or ".join(_TYPE_NAMES.get(t, f"an instance of {t.__name__}") for t in allowed)
+        rules.append((name, accepts, bool in allowed, want))
+    return tuple(rules)
+
+
+def check_field_types(config) -> None:
+    """Raise :class:`BadConfig` for the first field of a config dataclass
+    whose value does not have the field's declared type.
+
+    An ``int`` field takes integers but not booleans, a ``float`` field
+    any number but a boolean, and a nested config field an instance of
+    its own config class.
+    """
+    for name, accepts, bool_fits, want in _field_rules(type(config)):
+        value = getattr(config, name)
+        if bool_fits if isinstance(value, bool) else isinstance(value, accepts):
+            continue
+        try:  # config files are JSON, so show the value as JSON if it has a form there
+            shown = json.dumps(value)
+        except (TypeError, ValueError):
+            shown = repr(value)
+        raise BadConfig(f"{name} must be {want}, got {shown}", field=name)

@@ -4,10 +4,12 @@ The chain applied to every scan, in order:
 
 1. threshold at 45 (strict ``pixel > t``),
 2. 2 erosions then 2 dilations with a 3x3 square element (an opening that
-   removes speckles smaller than a 5x5 square),
+   removes speckles smaller than a 5x5 square); k erosions are one
+   (2k+1)-wide window, a row pass then a column pass, and so are k dilations,
 3. find the largest 8-connected foreground component,
 4. crop to the component's top/bottom/left/right extreme points,
-5. bilinear resize to the model input size,
+5. bilinear resize to the model input size, separably: across each row,
+   then down the columns, from per-axis taps cached by size,
 6. per-image z-score so the mean tends to 0 and the deviation to 1.
 
 Steps 3 and 4 are one labelling pass over the mask's row runs
@@ -20,6 +22,7 @@ the network.  Training augmentation slots between 5 and 6, which is why
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 
@@ -86,17 +89,26 @@ def threshold(img: GrayImage8, t: int = DEFAULT_THRESHOLD) -> BinaryMask:
 
 
 def _window_reduce(mask: BinaryMask, iterations: int, combine) -> BinaryMask:
-    """Combine (``&`` or ``|``) every 3x3 window, ``iterations`` times, as a
-    1x3 pass then a 3x1 pass; pixels outside the image are background."""
+    """Combine (``&`` or ``|``) every 3x3 window, ``iterations`` times.
+
+    ``k`` passes of a 3x3 window are one (2k+1)-wide window when pixels
+    outside the image are background (van Herk, Pattern Recognit. Lett.
+    1992), so the mask is padded by ``k`` once and reduced along rows,
+    then along columns."""
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
-    bits = mask.bits
-    h, w = bits.shape
-    for _ in range(iterations):
-        padded = np.zeros((h + 2, w + 2), dtype=bool)
-        padded[1:-1, 1:-1] = bits
-        rows = combine(combine(padded[:, :-2], padded[:, 1:-1]), padded[:, 2:])
-        bits = combine(combine(rows[:-2], rows[1:-1]), rows[2:])
+    if iterations == 0:
+        return mask
+    k = iterations
+    h, w = mask.bits.shape
+    padded = np.zeros((h + 2 * k, w + 2 * k), dtype=bool)
+    padded[k:-k, k:-k] = mask.bits
+    rows = padded[:, :w]
+    for j in range(1, 2 * k + 1):
+        rows = combine(rows, padded[:, j : j + w])
+    bits = rows[:h]
+    for i in range(1, 2 * k + 1):
+        bits = combine(bits, rows[i : i + h])
     return BinaryMask(bits)
 
 
@@ -121,24 +133,26 @@ def largest_component(mask: BinaryMask) -> CropBox:
     row-major order, so ties go to the component containing the first
     foreground pixel in row-major order.
     """
-    bits = mask.bits
-    stride = bits.shape[1] + 1
+    h, w = mask.bits.shape
+    stride = w + 1
     # flat index r * stride + c of each run's first column and of the
-    # column just past its end; both come out in row-major order
-    edges = np.diff(np.pad(bits, ((0, 0), (1, 1))).view(np.int8), axis=1)
-    starts = np.flatnonzero(edges == 1)
-    ends = np.flatnonzero(edges == -1)
-    if starts.size == 0:
+    # column just past its end: the edges of a zero-framed row alternate
+    # start, end, so both come out in row-major order
+    frame = np.zeros((h, w + 2), dtype=np.int8)
+    frame[:, 1:-1] = mask.bits
+    edges = (frame[:, 1:] != frame[:, :-1]).ravel().nonzero()[0]
+    if edges.size == 0:
         raise NoForeground("mask has no foreground pixels")
+    starts, ends = edges[0::2], edges[1::2]
 
     # runs in the next row touching run i are the index range [lo, hi):
     # those ending at or after i's start and starting at or before i's end
-    lo = np.searchsorted(ends, starts + stride, side="left")
-    hi = np.searchsorted(starts, ends + stride, side="right")
+    lo = ends.searchsorted(starts + stride, side="left")
+    hi = starts.searchsorted(ends + stride, side="right")
     fan = np.maximum(hi - lo, 0)
-    first = np.cumsum(fan) - fan
-    upper = np.repeat(np.arange(starts.size), fan)
-    lower = np.repeat(lo - first, fan) + np.arange(upper.size)
+    first = fan.cumsum() - fan
+    upper = np.arange(starts.size).repeat(fan)
+    lower = (lo - first).repeat(fan) + np.arange(upper.size)
 
     root = np.arange(starts.size)
     while True:
@@ -147,11 +161,11 @@ def largest_component(mask: BinaryMask) -> CropBox:
         if not split.any():
             break
         np.minimum.at(root, np.maximum(a, b)[split], np.minimum(a, b)[split])
-        while True:  # pointer jumping: every run points straight at its root
-            jumped = root[root]
-            if np.array_equal(jumped, root):
-                break
-            root = jumped
+        # pointer jumping: every run points at a run of smaller index, so a
+        # chain has fewer than 2**bit_length(runs) links and this many
+        # doublings leave each run pointing straight at its root
+        for _ in range(starts.size.bit_length()):
+            root = root[root]
 
     area = np.bincount(root, weights=ends - starts, minlength=starts.size)
     members = root == np.argmax(area)  # argmax takes the smallest root on ties
@@ -164,32 +178,44 @@ def largest_component(mask: BinaryMask) -> CropBox:
     )
 
 
+@functools.lru_cache(maxsize=64)
+def _taps(n_in: int, n_out: int) -> tuple[np.ndarray, ...]:
+    """Bilinear taps along one axis: source indices ``i0`` and ``i1``
+    (clamped to the border) and weights ``f`` and ``1 - f``, for output
+    positions sampling the source at ``(dst + 0.5) * n_in / n_out - 0.5``.
+    Cached, so the arrays are read-only."""
+    pos = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
+    start = np.floor(pos)
+    f = pos - start
+    taps = (
+        np.clip(start, 0, n_in - 1).astype(np.intp),
+        np.clip(start + 1, 0, n_in - 1).astype(np.intp),
+        f,
+        1 - f,
+    )
+    for a in taps:
+        a.flags.writeable = False
+    return taps
+
+
 def resize_bilinear(img: GrayImage8, out_w: int, out_h: int) -> GrayImage8:
     """Bilinear resize with half-pixel-center mapping.
 
     Each output pixel samples the source at ``(dst + 0.5) * scale - 0.5``
     per axis; coordinates past the edges replicate the border pixel, and
-    results are rounded half up into 8 bits.
+    results are rounded half up into 8 bits.  The two axes are separable:
+    every source row is interpolated across, then the rows are
+    interpolated down, which is the same float64 arithmetic, in the same
+    order, as interpolating each output pixel from its four neighbours.
     """
     if out_w < 1 or out_h < 1:
         raise ValueError("output dimensions must be >= 1")
-    src = img.pixels.astype(np.float64)
+    src = img.pixels
     h, w = src.shape
-
-    ys = (np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5
-    xs = (np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5
-    y0 = np.floor(ys)
-    x0 = np.floor(xs)
-    fy = ys - y0
-    fx = xs - x0
-    y0c = np.clip(y0, 0, h - 1).astype(np.intp)
-    y1c = np.clip(y0 + 1, 0, h - 1).astype(np.intp)
-    x0c = np.clip(x0, 0, w - 1).astype(np.intp)
-    x1c = np.clip(x0 + 1, 0, w - 1).astype(np.intp)
-
-    top = src[y0c[:, None], x0c] * (1 - fx) + src[y0c[:, None], x1c] * fx
-    bot = src[y1c[:, None], x0c] * (1 - fx) + src[y1c[:, None], x1c] * fx
-    values = top * (1 - fy[:, None]) + bot * fy[:, None]
+    y0, y1, fy, gy = _taps(h, out_h)
+    x0, x1, fx, gx = _taps(w, out_w)
+    rows = src[:, x0] * gx + src[:, x1] * fx
+    values = rows[y0] * gy[:, None] + rows[y1] * fy[:, None]
     rounded = np.clip(np.floor(values + 0.5), 0, 255).astype(np.uint8)
     return GrayImage8(rounded)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .dataset import DatasetManifest, ManifestEntry, read_csv
+from .dataset import DatasetManifest, ManifestEntry, atomic_write, read_csv
 from .errors import BadConfig, TumorkitError
 from .metrics import CLASSES, MetricsReport, ScoredSample
 
@@ -48,7 +48,7 @@ def _full(value: float | None) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    with open(path, "w", newline="") as handle:
+    with atomic_write(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)
@@ -213,5 +213,6 @@ def emit_report(
     write_roc_csv(report, roc)
     write_pr_csv(report, pr)
     write_history_csv(history, history_path)
-    svg.write_text(roc_svg(report))
+    with atomic_write(svg, "w") as handle:
+        handle.write(roc_svg(report))
     return written

@@ -35,7 +35,7 @@ from .checkpoint import load_model, save_checkpoint, save_weights
 # unused here, but bench/tracing.py patches these names on this module
 from .checkpoint import apply_weights, dump_weights, load_checkpoint  # noqa: F401
 from .dataset import DatasetManifest
-from .errors import BadConfig, NonFiniteLoss, TumorkitError, Unreadable
+from .errors import BadConfig, NonFiniteLoss, TumorkitError, Unreadable, check_field_types
 from .metrics import CLASSES, MetricsReport, ScoredSample, evaluate_scores, label_from_score
 from .model import FREEZE_POLICIES, Model, apply_freeze_policy, build_model, init_weights
 from .nn import AdamState, adam_step, softmax, softmax_ce_loss
@@ -71,6 +71,7 @@ class TrainConfig:
     morph_iterations: int = DEFAULT_MORPH_ITERS
 
     def __post_init__(self):
+        check_field_types(self)
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise BadConfig(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.epochs < 1:

@@ -318,6 +318,29 @@ def loop_resize_bilinear(pixels: np.ndarray, out_w: int, out_h: int) -> np.ndarr
     return out
 
 
+def gather_resize_bilinear(pixels: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
+    """The same resize as :func:`loop_resize_bilinear`, each output pixel
+    gathered from its four source neighbours at once (2-d fancy indexing),
+    in the float64 arithmetic, and order, that the package must match
+    bit for bit."""
+    src = pixels.astype(np.float64)
+    h, w = src.shape
+    ys = (np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5
+    xs = (np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5
+    y0 = np.floor(ys)
+    x0 = np.floor(xs)
+    fy = ys - y0
+    fx = xs - x0
+    y0c = np.clip(y0, 0, h - 1).astype(np.intp)
+    y1c = np.clip(y0 + 1, 0, h - 1).astype(np.intp)
+    x0c = np.clip(x0, 0, w - 1).astype(np.intp)
+    x1c = np.clip(x0 + 1, 0, w - 1).astype(np.intp)
+    top = src[y0c[:, None], x0c] * (1 - fx) + src[y0c[:, None], x1c] * fx
+    bot = src[y1c[:, None], x0c] * (1 - fx) + src[y1c[:, None], x1c] * fx
+    values = top * (1 - fy[:, None]) + bot * fy[:, None]
+    return np.clip(np.floor(values + 0.5), 0, 255).astype(np.uint8)
+
+
 def loop_affine_nearest(pixels: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """Inverse-warp with nearest-neighbor sampling and border replicate."""
     h, w = pixels.shape

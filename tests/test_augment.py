@@ -1,6 +1,7 @@
 """Affine warps, brightness, flips, and the seeded parameter sampler."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -49,6 +50,23 @@ class TestConfig:
     def test_rejects_non_finite_numbers(self, field, value):
         with pytest.raises(BadConfig, match=f"{field} must be finite"):
             AugmentConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "fields, problem",
+        [
+            (dict(allow_hflip="no"), 'allow_hflip must be true or false, got "no"'),
+            (dict(symmetric_rotation=0), "symmetric_rotation must be true or false, got 0"),
+            (dict(shear_rad=True), "shear_rad must be a number, got true"),
+            (dict(max_rotation_deg="15"), 'max_rotation_deg must be a number, got "15"'),
+        ],
+        ids=["str-hflip", "int-symmetric", "bool-shear", "str-rotation"],
+    )
+    def test_rejects_field_of_wrong_type(self, fields, problem):
+        with pytest.raises(BadConfig, match=re.escape(problem)):
+            AugmentConfig(**fields)
+
+    def test_accepts_integers_for_numbers(self):
+        assert AugmentConfig(max_rotation_deg=10, brightness_hi=2).max_rotation_deg == 10
 
 
 class TestSampleParams:

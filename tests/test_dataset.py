@@ -1,5 +1,8 @@
 """Directory scanning, the seeded floor-rule split, manifest CSV files."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,13 @@ from tumorkit.dataset import (
 from tumorkit.errors import BadConfig, ClassTooSmall, EmptyClass, MissingDir
 from tumorkit.metrics import NO, YES
 from tumorkit.pgm import GrayImage8, write_pgm
+
+
+class Unprintable:
+    """A cell value whose text form raises, to fail a CSV write midway."""
+
+    def __str__(self):
+        raise RuntimeError("unprintable cell")
 
 
 def make_tree(root, n_yes, n_no):
@@ -85,6 +95,25 @@ class TestSplitConfig:
     def test_ratios_must_be_positive(self):
         with pytest.raises(BadConfig):
             SplitConfig(train_ratio=1.1, val_ratio=-0.05, test_ratio=-0.05)
+
+    def test_not_a_number_ratio_rejected(self):
+        with pytest.raises(BadConfig, match="positive and finite"):
+            SplitConfig(train_ratio=math.nan)
+
+    @pytest.mark.parametrize(
+        "fields, problem",
+        [
+            (dict(seed="x"), 'seed must be an integer, got "x"'),
+            (dict(seed=True), "seed must be an integer, got true"),
+            (dict(seed=1.0), "seed must be an integer, got 1.0"),
+            (dict(train_ratio="0.8"), 'train_ratio must be a number, got "0.8"'),
+            (dict(stratified=1), "stratified must be true or false, got 1"),
+        ],
+        ids=["str-seed", "bool-seed", "float-seed", "str-ratio", "int-stratified"],
+    )
+    def test_field_of_wrong_type(self, fields, problem):
+        with pytest.raises(BadConfig, match=re.escape(problem)):
+            SplitConfig(**fields)
 
 
 class TestStratifiedSplit:
@@ -168,6 +197,16 @@ class TestManifestFiles:
         path.write_text("path,label\r\na.pgm,maybe\r\n")
         with pytest.raises((BadConfig, ValueError)):
             read_manifest(path)
+
+    def test_failed_write_leaves_old_file(self, tmp_path):
+        path = tmp_path / "train.csv"
+        write_manifest(fake_manifest(2, 2), path)
+        before = path.read_bytes()
+        broken = DatasetManifest([ManifestEntry("a.pgm", YES), ManifestEntry(Unprintable(), NO)])
+        with pytest.raises(RuntimeError, match="unprintable"):
+            write_manifest(broken, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["train.csv"]
 
     def test_duplicate_paths_rejected(self):
         with pytest.raises(ValueError):

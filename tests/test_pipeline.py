@@ -120,6 +120,33 @@ class TestTrainConfig:
         cfg = TrainConfig(architecture="vgg_tiny", input_size=48)
         assert cfg.input_size == 48
 
+    @pytest.mark.parametrize(
+        "fields, problem",
+        [
+            (dict(batch_size=2.5, threshold=45.5), "batch_size must be an integer, got 2.5"),
+            (dict(threshold=45.5), "threshold must be an integer, got 45.5"),
+            (dict(epochs=True), "epochs must be an integer, got true"),
+            (dict(seed=False), "seed must be an integer, got false"),
+            (dict(morph_iterations=True), "morph_iterations must be an integer, got true"),
+            (dict(learning_rate=False), "learning_rate must be a number, got false"),
+            (dict(architecture=16), "architecture must be a string, got 16"),
+            (dict(init_checkpoint=5), "init_checkpoint must be a string or null, got 5"),
+            (dict(augment={"allow_hflip": False}),
+             'augment must be an instance of AugmentConfig, got {"allow_hflip": false}'),
+        ],
+        ids=["float-batch-size", "float-threshold", "bool-epochs", "bool-seed",
+             "bool-morph-iterations", "bool-learning-rate", "int-architecture",
+             "int-init-checkpoint", "dict-augment"],
+    )
+    def test_rejects_field_of_wrong_type(self, fields, problem):
+        with pytest.raises(BadConfig, match=re.escape(problem)) as info:
+            TrainConfig(**fields)
+        assert info.value.field == problem.split()[0]
+
+    def test_accepts_any_integer_type(self):
+        cfg = TrainConfig(seed=np.int64(3), batch_size=np.int32(4), learning_rate=1)
+        assert (cfg.seed, cfg.batch_size, cfg.learning_rate) == (3, 4, 1)
+
 
 class TestRunTraining:
     def test_history_covers_every_epoch(self, trained):

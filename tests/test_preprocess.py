@@ -1,17 +1,21 @@
 """Threshold, morphology, component labeling, crop, resize, z-score."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from helpers import (
     bbox_of,
     bfs_components,
+    gather_resize_bilinear,
     loop_dilate,
     loop_erode,
     loop_resize_bilinear,
     window_reduce,
 )
-from synth import crop_case
+from synth import blob_image, crop_case
+from tumorkit import preprocess
 from tumorkit.errors import NoForeground
 from tumorkit.pgm import GrayImage8
 from tumorkit.preprocess import (
@@ -80,6 +84,17 @@ class TestMorphology:
                                   window_reduce(bits, iters, np.all))
             assert np.array_equal(dilate(BinaryMask(bits), iters).bits,
                                   window_reduce(bits, iters, np.any))
+        # deeper openings, and masks one pixel thin along either axis, where
+        # the (2k+1)-wide window is wider than the image
+        thin = [(1, 1), (1, 9), (9, 1), (1, 40), (40, 1), (2, 17), (17, 2)]
+        for i in range(120):
+            h, w = thin[i % len(thin)] if i < 70 else (int(v) for v in g.integers(1, 41, size=2))
+            bits = g.random((h, w)) < g.uniform(0.2, 0.95)
+            for iters in range(5):
+                assert np.array_equal(erode(BinaryMask(bits), iters).bits,
+                                      window_reduce(bits, iters, np.all))
+                assert np.array_equal(dilate(BinaryMask(bits), iters).bits,
+                                      window_reduce(bits, iters, np.any))
 
     def test_outside_counts_as_background(self):
         # a lone corner pixel touches the border, so one erosion kills it
@@ -242,6 +257,36 @@ class TestResize:
                 want = loop_resize_bilinear(px, out_w, out_h)
                 assert np.array_equal(got, want), (h, w, out_w, out_h)
 
+    def test_matches_gather_form(self):
+        # crops of every shape seen in practice, to the model sizes and to
+        # arbitrary sizes: the separable form must give the same bytes
+        g = np.random.default_rng(33)
+        for i in range(2100):
+            h, w = (int(v) for v in g.integers(1, 81, size=2))
+            px = g.integers(0, 256, size=(h, w), dtype=np.uint8)
+            if i % 3 < 2:
+                out_w = out_h = (64, 224)[i % 3]
+            else:
+                out_w, out_h = (int(v) for v in g.integers(1, 257, size=2))
+            got = resize_bilinear(GrayImage8(px), out_w, out_h).pixels
+            want = gather_resize_bilinear(px, out_w, out_h)
+            assert np.array_equal(got, want), (h, w, out_w, out_h)
+
+    def test_crops_to_model_size_match_loop_oracle(self):
+        g = np.random.default_rng(34)
+        for _ in range(4):
+            h, w = (int(v) for v in g.integers(30, 61, size=2))
+            px = g.integers(0, 256, size=(h, w), dtype=np.uint8)
+            got = resize_bilinear(GrayImage8(px), 64, 64).pixels
+            assert np.array_equal(got, loop_resize_bilinear(px, 64, 64)), (h, w)
+
+    def test_cached_taps_are_read_only(self):
+        resize_bilinear(gray(np.zeros((5, 7))), 3, 4)
+        for taps in (preprocess._taps(5, 4), preprocess._taps(7, 3)):
+            for array in taps:
+                with pytest.raises(ValueError):
+                    array[0] = 1
+
     def test_constant_image_stays_constant(self):
         out = resize_bilinear(gray(np.full((6, 6), 200)), 224, 224)
         assert (out.pixels == 200).all()
@@ -290,6 +335,22 @@ class TestFullChain:
             assert (box.top, box.bottom, box.left, box.right) == bbox_of(opened)
             checked += 1
         assert checked >= 10
+
+    # SHA-256 of the crop_and_resize outputs of 200 blob images, as the
+    # straightforward per-pixel gather resize and iterated 3x3 opening made them
+    PINNED_CROPS = {
+        64: "1adf5141c26175abd338046d43423f9415e7592a99256f733f062083d92e1d9d",
+        224: "d2338fcda8e5e6c34a7818bb709ab927949d53dcf55a7162020f73c1f5851063",
+    }
+
+    @pytest.mark.parametrize("size", sorted(PINNED_CROPS))
+    def test_crop_and_resize_bytes_are_pinned(self, size):
+        g = np.random.default_rng(8)
+        digest = hashlib.sha256()
+        for i in range(200):
+            img = blob_image(g, with_blob=i % 2 == 0)
+            digest.update(crop_and_resize(img, out_size=size).pixels.tobytes())
+        assert digest.hexdigest() == self.PINNED_CROPS[size]
 
     def test_crop_and_resize_shape(self):
         g = np.random.default_rng(52)

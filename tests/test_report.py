@@ -124,6 +124,22 @@ class TestHistoryCsv:
 
 
 class TestScoresCsv:
+    def test_failed_write_leaves_old_file(self, tmp_path):
+        class Unprintable:
+            def __str__(self):
+                raise RuntimeError("unprintable cell")
+
+        samples = [ScoredSample(YES, 0.75), ScoredSample(NO, 0.25)]
+        path = tmp_path / "scores.csv"
+        good = DatasetManifest([ManifestEntry("a.pgm", YES), ManifestEntry("b.pgm", NO)])
+        write_scores_csv(good, samples, [YES, NO], path)
+        before = path.read_bytes()
+        broken = DatasetManifest([ManifestEntry("a.pgm", YES), ManifestEntry(Unprintable(), NO)])
+        with pytest.raises(RuntimeError, match="unprintable"):
+            write_scores_csv(broken, samples, [YES, NO], path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scores.csv"]
+
     def test_round_trip(self, tmp_path):
         manifest = DatasetManifest(
             [ManifestEntry("data/yes/a.pgm", YES), ManifestEntry("data/no/b.pgm", NO)]
