@@ -12,16 +12,26 @@ Every convolution product is one matrix multiply against a patch matrix
 (im2col; Chellapilla, Puri & Simard 2006): the zero-padded 3x3 patches
 of an [N, C, H, W] input laid out channel-major as a C-contiguous
 [C*9, N*H*W] matrix, rows ordered (c, ky, kx) and columns (n, h, w).
-It is filled by nine shifted copies whose innermost runs are whole image
-rows.  The forward pass is weight [O, C*9] times the patches of x, the
-weight gradient is dy [O, N*H*W] times their transpose, and the input
-gradient is the flipped, channel-swapped weight [C, O*9] times the
-patches of dy.
+The input is first copied channel-major with one zero row above and
+below each image and one guard element at each end of a channel, so a
+patch row (c, ky, kx) of one image is one contiguous run of that copy,
+ky rows down and kx - 1 elements along.  A block of patches is then one
+copy from a strided view, after which the two columns that read across
+a row end (w = 0 of the kx = 0 rows, w = W-1 of the kx = 2 rows) are
+zeroed; the matrix is the one nine shifted slices of a padded copy
+would give.  The forward pass is weight [O, C*9] times the patches of x,
+the weight gradient is dy [O, N*H*W] times their transpose, and the
+input gradient is the flipped, channel-swapped weight [C, O*9] times
+the patches of dy.
 
 The forward pass and the input gradient build and multiply the patch
-matrix in blocks of at most ``BLOCK_BYTES`` (low-memory im2col; Anderson
-et al. 2017): runs of whole images, or runs of whole rows of one image
-when an image's patches do not fit.  Each block's product goes straight
+matrix in cache-sized blocks (low-memory im2col, Anderson et al. 2017;
+cache blocking, Goto & van de Geijn 2008): runs of whole images, or
+runs of whole rows of one image when an image's patches do not fit.
+A block holds at most ``max(BLOCK_BYTES, weight bytes)`` of patches:
+1 MiB keeps the patch operand in L2 for the early, wide layers, and
+the deep layers, whose weight BLAS packs again for every block, get
+blocks the size of their weight.  Each block's product goes straight
 into its columns of the [O, N*H*W] result, so the full patch matrix
 (115 MB for the second VGG16 layer) is never built.  Every column is
 still one dot product over the same C*9 terms; with OpenBLAS, blocking
@@ -41,7 +51,6 @@ identity).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -51,13 +60,18 @@ from .errors import BadTargets, InvalidProbability, OddSpatialDim, ShapeMismatch
 from .rng import Rng
 
 KERNEL = 3
-PAD = 1
-# Largest patch block, in bytes: the smallest round size that keeps every
-# vgg_tiny@64 product of a 16-image batch (forward and dx, at most 9 MiB
-# of patches) one block.  vgg16@224 splits its layers at 56x56 and up
-# into runs of rows; fresh-process vgg16 predicts timed with blocks of 2
-# to 32 MiB differed by less than their run-to-run spread.
-BLOCK_BYTES = 10 * 2**20
+# Smallest patch block budget, in bytes: small enough that a block stays
+# in a 2 MiB per-core L2 while BLAS multiplies it.  A product whose weight
+# is larger gets blocks of the weight's size (see _blocks), so deep
+# layers do not pay for packing the weight again for many small blocks.
+# Single-image forward medians (Xeon, 2 MiB L2 per core, OpenBLAS 0.3.31,
+# one thread), one 10 MiB budget for every layer -> one 1 MiB budget:
+# 64->64@224 116 -> 90 ms and 128->128@112 83 -> 68 ms, but 512->512@28
+# 52 -> 64-72 ms and @14 13 -> 18-19 ms; with the weight setting the
+# size, the deep layers keep their 10 MiB times.  With one size for all
+# layers the two cancel, which is why vgg16 predicts timed with one
+# budget of 2 to 32 MiB differed by less than their spread.
+BLOCK_BYTES = 2**20
 
 
 @dataclass
@@ -114,46 +128,79 @@ def _check_nchw(x: np.ndarray, channels: int, op: str) -> None:
 
 
 def _pad(x: np.ndarray) -> np.ndarray:
-    """``x`` [N, C, H, W] as a zero-padded channel-major [C, N, H+2, W+2] copy."""
+    """``x`` [N, C, H, W] as a channel-major [C, N*(H+2)*W + 2] copy.
+
+    Each channel is one guard element, then each image's H rows framed by
+    one zero row above and one below, then a second guard element.  Only
+    the zero rows and guards are written besides the copy of ``x``.
+    """
     n, c, h, w = x.shape
-    xp = np.zeros((c, n, h + 2 * PAD, w + 2 * PAD), dtype=x.dtype)
-    xp[:, :, PAD : PAD + h, PAD : PAD + w] = x.transpose(1, 0, 2, 3)
+    xp = np.empty((c, n * (h + 2) * w + 2), dtype=x.dtype)
+    xp[:, 0] = xp[:, -1] = 0
+    rows = xp[:, 1:-1].reshape(c, n, h + 2, w)
+    rows[:, :, 0] = rows[:, :, -1] = 0
+    rows[:, :, 1:-1] = x.transpose(1, 0, 2, 3)
     return xp
 
 
-def _patches(xp: np.ndarray, block: tuple[int, int, int, int], out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` [C, 3, 3, n, r, W] with the patches of output rows
-    ``r0:r1`` of images ``n0:n1``, ``block = (n0, n1, r0, r1)``, from the
-    padded input ``xp``; return it as a [C*9, n*r*W] matrix."""
+def _patches(
+    xp: np.ndarray, shape: tuple[int, int, int, int], block: tuple[int, int, int, int],
+    out: np.ndarray,
+) -> np.ndarray:
+    """Fill ``out`` with the patches of output rows ``r0:r1`` of images
+    ``n0:n1``, ``block = (n0, n1, r0, r1)``, from ``xp``, the :func:`_pad`
+    layout of an input of ``shape`` [N, C, H, W]; return them as a
+    [C*9, n*r*W] matrix.
+
+    Row (c, ky, kx) of one image is the run of r*W elements that starts
+    ky rows down and kx - 1 elements along from the image's first output
+    row, so the whole block is one copy from a strided view.  At w = 0 a
+    kx = 0 run reads the last element of the row above, and at w = W-1 a
+    kx = 2 run the first element of the row below; those columns are the
+    left and right zero padding, and are zeroed after the copy.
+    """
+    _, c, h, w = shape
     n0, n1, r0, r1 = block
-    w = xp.shape[3] - 2 * PAD
-    for ky in range(KERNEL):
-        for kx in range(KERNEL):
-            out[:, ky, kx] = xp[:, n0:n1, r0 + ky : r1 + ky, kx : kx + w]
-    return out.reshape(out.shape[0] * KERNEL * KERNEL, math.prod(out.shape[3:]))
+    n, r = n1 - n0, r1 - r0
+    item = xp.itemsize
+    window = np.lib.stride_tricks.as_strided(
+        xp[:, (n0 * (h + 2) + r0) * w :],
+        shape=(c, KERNEL, KERNEL, n, r * w),
+        strides=(xp.strides[0], w * item, item, (h + 2) * w * item, item),
+        writeable=False,
+    )
+    cols = out.reshape(c, KERNEL, KERNEL, n, r * w)
+    np.copyto(cols, window)
+    edges = out.reshape(c, KERNEL, KERNEL, n * r, w)
+    edges[:, :, 0, :, 0] = 0
+    edges[:, :, KERNEL - 1, :, w - 1] = 0
+    return out.reshape(c * KERNEL * KERNEL, n * r * w)
 
 
 def _columns(x: np.ndarray) -> np.ndarray:
     """Zero-padded 3x3 patches of ``x`` [N, C, H, W] as a C-contiguous
     [C*9, N*H*W] matrix: rows ordered (c, ky, kx), columns (n, h, w)."""
     n, c, h, w = x.shape
-    cols = np.empty((c, KERNEL, KERNEL, n, h, w), dtype=x.dtype)
-    return _patches(_pad(x), (0, n, 0, h), cols)
+    cols = np.empty(c * KERNEL * KERNEL * n * h * w, dtype=x.dtype)
+    return _patches(_pad(x), x.shape, (0, n, 0, h), cols)
 
 
-def _blocks(x: np.ndarray) -> list[tuple[int, int, int, int]]:
+def _blocks(x: np.ndarray, weight_bytes: int) -> list[tuple[int, int, int, int]]:
     """(n0, n1, r0, r1) of each patch block of ``x``, in column order.
 
-    A block is a run of whole images if one image's patches fit in
-    :data:`BLOCK_BYTES`, else a run of whole rows of one image (at least
+    Blocks hold at most ``max(BLOCK_BYTES, weight_bytes)`` of patches: a
+    product's blocks are never smaller than its weight, which BLAS packs
+    again for every block.  A block is a run of whole images if one
+    image's patches fit, else a run of whole rows of one image (at least
     one row).
     """
     n, c, h, w = x.shape
+    budget = max(BLOCK_BYTES, weight_bytes)
     image_bytes = c * KERNEL * KERNEL * h * w * x.itemsize
-    if image_bytes <= BLOCK_BYTES:
-        per = BLOCK_BYTES // max(image_bytes, 1)
+    if image_bytes <= budget:
+        per = budget // max(image_bytes, 1)
         return [(i, min(i + per, n), 0, h) for i in range(0, n, per)]
-    per = max(1, BLOCK_BYTES // (image_bytes // h))
+    per = max(1, budget // (image_bytes // h))
     return [(i, i + 1, r, min(r + per, h)) for i in range(n) for r in range(0, h, per)]
 
 
@@ -170,15 +217,15 @@ def _patch_product(
     """
     n, c, h, w = x.shape
     xp = _pad(x)
-    blocks = _blocks(x)
+    blocks = _blocks(x, weight.nbytes)
     y = buf = None
     start = 0
     for i, block in enumerate(blocks):
         n0, n1, r0, r1 = block
-        shape = (c, KERNEL, KERNEL, n1 - n0, r1 - r0, w)
+        size = c * KERNEL * KERNEL * (n1 - n0) * (r1 - r0) * w
         if buf is None:  # no later block is larger than the first
-            buf = np.empty(math.prod(shape), dtype=x.dtype)
-        cols = _patches(xp, block, buf[: math.prod(shape)].reshape(shape))
+            buf = np.empty(size, dtype=x.dtype)
+        cols = _patches(xp, x.shape, block, buf[:size])
         if i == len(blocks) - 1:
             del xp  # not read again: free it before a one-block result is made
         if y is None:

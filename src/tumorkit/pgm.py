@@ -70,10 +70,9 @@ def read_pgm(data: bytes) -> GrayImage8:
         token, pos = match[1], match.end()
         if not token:
             raise HeaderParse(f"missing {what}")
-        try:
-            header.append(int(token))
-        except ValueError:
-            raise HeaderParse(f"invalid {what}: {token!r}") from None
+        if not token.isdigit():
+            raise HeaderParse(f"invalid {what}: {token!r}")
+        header.append(int(token))
     width, height, maxval = header
     if width < 1 or height < 1:
         raise HeaderParse(f"invalid dimensions {width}x{height}")
@@ -99,10 +98,9 @@ def read_pgm(data: bytes) -> GrayImage8:
 
 
 def _sample(token: bytes) -> int:
-    try:
-        value = int(token)
-    except ValueError:
-        raise HeaderParse(f"invalid pixel: {token!r}") from None
+    if not token.isdigit():
+        raise HeaderParse(f"invalid pixel: {token!r}")
+    value = int(token)
     if not 0 <= value <= 255:
         raise HeaderParse(f"sample value {value} out of range [0, 255]")
     return value

@@ -52,11 +52,18 @@ from .rng import Rng, STREAM_AUGMENT, STREAM_DROPOUT, STREAM_INIT, STREAM_SHUFFL
 ARCHITECTURES = ("vgg16", "vgg_tiny")
 BEST_CHECKPOINT = "best.nnck"
 FINAL_CHECKPOINT = "final.nnck"
+# Largest vgg_tiny input side: twice the 512x512 slices of the usual MRI
+# archives.  One 1024x1024 image already takes 38 MB of conv1 patches.
+MAX_TINY_INPUT_SIZE = 1024
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters and run plumbing for one training run."""
+    """Hyperparameters and run plumbing for one training run.
+
+    ``input_size`` is 224 for vgg16 and a multiple of 8 from 8 to
+    :data:`MAX_TINY_INPUT_SIZE` for vgg_tiny.
+    """
 
     learning_rate: float = 1e-4
     epochs: int = 80
@@ -84,9 +91,12 @@ class TrainConfig:
             raise BadConfig(f"freeze_policy must be one of {FREEZE_POLICIES}")
         if self.architecture == "vgg16" and self.input_size != 224:
             raise BadConfig("vgg16 takes 224x224 input")
-        if self.architecture == "vgg_tiny" and (self.input_size < 8 or self.input_size % 8):
+        if self.architecture == "vgg_tiny" and (
+            not 8 <= self.input_size <= MAX_TINY_INPUT_SIZE or self.input_size % 8
+        ):
             raise BadConfig(
-                f"vgg_tiny input_size must be a positive multiple of 8, got {self.input_size}"
+                f"vgg_tiny input_size must be at most {MAX_TINY_INPUT_SIZE} "
+                f"and a positive multiple of 8, got {self.input_size}"
             )
         if not 0 <= self.threshold <= 255:
             raise BadConfig(f"threshold must be in [0, 255], got {self.threshold}")

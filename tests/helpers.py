@@ -65,6 +65,19 @@ def naive_conv2d_backward(
     return dx, dw, db
 
 
+def sliced_columns(x: np.ndarray) -> np.ndarray:
+    """The [C*9, N*H*W] patch matrix of ``x`` [N, C, H, W], rows ordered
+    (c, ky, kx) and columns (n, h, w), from ``np.pad`` and nine shifted
+    slices of the padded input."""
+    n, c, h, w = x.shape
+    xp = np.pad(x.transpose(1, 0, 2, 3), ((0, 0), (0, 0), (1, 1), (1, 1)))
+    cols = np.empty((c, 3, 3, n, h, w), dtype=x.dtype)
+    for ky in range(3):
+        for kx in range(3):
+            cols[:, ky, kx] = xp[:, :, ky : ky + h, kx : kx + w]
+    return cols.reshape(c * 9, n * h * w)
+
+
 def naive_maxpool2(x: np.ndarray) -> np.ndarray:
     n, c, h, w = x.shape
     y = np.zeros((n, c, h // 2, w // 2), dtype=x.dtype)
@@ -186,12 +199,18 @@ def bbox_of(mask: np.ndarray) -> tuple[int, int, int, int]:
 _PGM_SPACE = b" \t\n\r\x0b\x0c"
 
 
+def _decimal(tok: bytes | None) -> bool:
+    """Whether ``tok`` is one or more ASCII digits 0-9, nothing else."""
+    return bool(tok) and all(0x30 <= byte <= 0x39 for byte in tok)
+
+
 def tokenwise_read_p2(data: bytes) -> tuple[str, np.ndarray | None]:
     """Decode a P2 file one token at a time, scanning byte by byte.
 
     Returns ("ok", pixels) or (error class name, None).  Tokens end at
     whitespace or ``#``; a ``#`` starts a comment that runs to the end
-    of the line; tokens after the last sample are ignored.
+    of the line; a number is ASCII digits only; tokens after the last
+    sample are ignored.
     """
     pos = 2
 
@@ -216,10 +235,9 @@ def tokenwise_read_p2(data: bytes) -> tuple[str, np.ndarray | None]:
     header = []
     for _ in range(3):
         tok = token()
-        try:
-            header.append(int(tok))
-        except (TypeError, ValueError):
+        if not _decimal(tok):
             return "HeaderParse", None
+        header.append(int(tok))
     width, height, maxval = header
     if width < 1 or height < 1 or maxval != 255:
         return "HeaderParse", None
@@ -228,10 +246,9 @@ def tokenwise_read_p2(data: bytes) -> tuple[str, np.ndarray | None]:
         tok = token()
         if tok is None:
             return "Truncated", None
-        try:
-            v = int(tok)
-        except ValueError:
+        if not _decimal(tok):
             return "HeaderParse", None
+        v = int(tok)
         if not 0 <= v <= 255:
             return "HeaderParse", None
         values.append(v)

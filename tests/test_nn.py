@@ -13,6 +13,7 @@ from helpers import (
     naive_conv2d,
     naive_conv2d_backward,
     naive_maxpool2,
+    sliced_columns,
 )
 from tumorkit import nn
 from tumorkit.errors import BadTargets, InvalidProbability, OddSpatialDim, ShapeMismatch
@@ -38,6 +39,7 @@ from tumorkit.nn import (
     softmax,
     softmax_ce_loss,
 )
+from tumorkit.model import build_vgg_tiny, init_weights
 from tumorkit.rng import Rng
 
 
@@ -156,6 +158,83 @@ class TestConv:
             conv2d_forward(np.zeros((1, 3, 4, 4)), layer)
 
 
+def patch_bytes(x: np.ndarray, block: tuple[int, int, int, int]) -> int:
+    """Bytes of the patches of one block of ``x``."""
+    n0, n1, r0, r1 = block
+    return x.shape[1] * 9 * (n1 - n0) * (r1 - r0) * x.shape[3] * x.itemsize
+
+
+@pytest.fixture
+def blocks_used(monkeypatch):
+    """Record (input, weight bytes, blocks) of every blocked product."""
+    calls = []
+    blocks = nn._blocks
+
+    def spy(x, weight_bytes):
+        calls.append((x, weight_bytes, blocks(x, weight_bytes)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(nn, "_blocks", spy)
+    return calls
+
+
+def nonfinite_borders(x: np.ndarray) -> np.ndarray:
+    """``x`` with NaN first in one of every five rows of each image and
+    +-inf last in the next, so a patch that reads across a row end into
+    them shows."""
+    x = x.copy()
+    n, _, h, _ = x.shape
+    for i in range(n):
+        for r in range(h):
+            if (i + r) % 5 == 0:
+                x[i, :, r, 0] = np.nan
+            elif (i + r) % 5 == 1:
+                x[i, :, r, -1] = -np.inf if i % 2 else np.inf
+    return x
+
+
+class TestPatchMatrix:
+    """The patch matrix is the one the sliced builder of the test helpers
+    makes, bit for bit, whatever the shape and values."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [
+        (1, 1, 1, 1), (2, 3, 1, 1), (3, 2, 1, 5), (2, 3, 4, 1), (3, 4, 5, 6), (2, 16, 17, 9),
+    ])
+    def test_columns_match_the_sliced_oracle(self, shape, dtype):
+        x = nonfinite_borders(np.random.default_rng(66).normal(size=shape).astype(dtype))
+        cols = nn._columns(x)
+        assert cols.flags.c_contiguous
+        assert cols.tobytes() == sliced_columns(x).tobytes()
+
+    @pytest.mark.parametrize("shape, dtype, block", [
+        ((3, 4, 6, 7), np.float32, 4 * 9 * 7 * 4 * 2),  # row blocks: 3 per image
+        ((1, 4, 5, 1), np.float64, 4 * 9 * 8 * 2),  # W=1, row blocks of 2
+        ((5, 2, 1, 1), np.float32, 2 * 9 * 4 * 2),  # H=W=1, runs of 2 images
+        ((4, 3, 1, 6), np.float64, 3 * 9 * 6 * 8 * 3),  # H=1, runs of 3 images
+    ])
+    @np.errstate(invalid="ignore")  # inf - inf in the products
+    def test_blocked_product_matches_the_sliced_oracle(
+        self, monkeypatch, blocks_used, shape, dtype, block
+    ):
+        # each block's product against the same product of the oracle's
+        # columns: BLAS may round a narrower product differently
+        monkeypatch.setattr(nn, "BLOCK_BYTES", block)
+        g = np.random.default_rng(67)
+        x = nonfinite_borders(g.normal(size=shape).astype(dtype))
+        weight = g.normal(size=(2, shape[1] * 9)).astype(dtype)
+        got = nn._patch_product(weight, x)
+        [(_, _, blocks)] = blocks_used
+        assert len(blocks) > 1
+        cols = sliced_columns(x)
+        ends = np.cumsum([(n1 - n0) * (r1 - r0) * shape[3] for n0, n1, r0, r1 in blocks])
+        want = np.concatenate([
+            weight @ np.ascontiguousarray(part) for part in np.split(cols, ends[:-1], axis=1)
+        ], axis=1)
+        assert np.isfinite(want).any() and not np.isfinite(want).all()
+        np.testing.assert_array_equal(got, want)
+
+
 class TestBlockedPatchProduct:
     """Built and multiplied block by block, the patch product gives the
     bytes of one product over the whole patch matrix."""
@@ -170,18 +249,19 @@ class TestBlockedPatchProduct:
         x = g.normal(size=shape).astype(dtype)
         layer = ConvLayer(weight=g.normal(size=(out_c, c, 3, 3)).astype(dtype),
                           bias=g.normal(size=(out_c,)).astype(dtype))
-        want = layer.weight.reshape(out_c, -1) @ nn._columns(x)
+        want = layer.weight.reshape(out_c, -1) @ sliced_columns(x)
         want += layer.bias[:, None]
         want = want.reshape(out_c, n, h, w).transpose(1, 0, 2, 3)
         assert conv2d_forward(x, layer).tobytes() == np.ascontiguousarray(want).tobytes()
 
         dy = g.normal(size=(n, out_c, h, w)).astype(dtype)
         w_flip = layer.weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
-        want_dx = (w_flip @ nn._columns(dy)).reshape(c, n, h, w).transpose(1, 0, 2, 3)
+        want_dx = (w_flip @ sliced_columns(dy)).reshape(c, n, h, w).transpose(1, 0, 2, 3)
         dx, _, _ = conv2d_backward(x, layer, dy)
         assert dx.tobytes() == np.ascontiguousarray(want_dx).tobytes()
-        assert len(nn._blocks(dy)) > 1
-        return nn._blocks(x)
+        assert len(nn._blocks(dy, 0)) > 1
+        assert layer.weight.nbytes <= block_bytes  # the budget alone sets the blocks
+        return nn._blocks(x, layer.weight.nbytes)
 
     def test_row_blocks_inside_one_image(self, monkeypatch):
         # 5 rows of 48 columns per block: 8 full blocks and one of 2 rows per image
@@ -205,13 +285,41 @@ class TestBlockedPatchProduct:
 
     def test_a_row_larger_than_a_block_is_a_block(self, monkeypatch):
         monkeypatch.setattr(nn, "BLOCK_BYTES", 1)
-        blocks = nn._blocks(np.zeros((2, 3, 4, 5), dtype=np.float32))
+        blocks = nn._blocks(np.zeros((2, 3, 4, 5), dtype=np.float32), 0)
         assert blocks == [(i, i + 1, r, r + 1) for i in range(2) for r in range(4)]
 
-    def test_vgg_tiny_products_are_one_block(self):
-        # (channels in, size) of every conv input and dy in a 16-image vgg_tiny@64 batch
-        for c, size in [(1, 64), (8, 32), (16, 16), (16, 32), (32, 16)]:
-            assert len(nn._blocks(np.empty((16, c, size, size), dtype=np.float32))) == 1
+    def test_vgg_tiny_blocks_stay_within_the_budget(self, blocks_used):
+        # a 16-image vgg_tiny@64 training step: three forward products and
+        # the dx products of conv3 and conv2
+        m = init_weights(build_vgg_tiny(input_size=64), Rng(68))
+        x = np.random.default_rng(69).normal(size=(16, 1, 64, 64)).astype(np.float32)
+        targets = np.tile(np.array([[1.0, 0.0]], dtype=np.float32), (16, 1))
+        logits, trace = m.forward_logits(x, "train", Rng(70))
+        m.backward(trace, softmax_ce_loss(logits, targets)[1])
+        assert [tuple(x.shape[1:]) for x, _, _ in blocks_used] == [
+            (1, 64, 64), (8, 32, 32), (16, 16, 16), (32, 16, 16), (16, 32, 32)
+        ]
+        for x, weight_bytes, blocks in blocks_used:
+            assert weight_bytes <= nn.BLOCK_BYTES
+            assert all(patch_bytes(x, b) <= nn.BLOCK_BYTES for b in blocks)
+        assert any(len(blocks) > 1 for _, _, blocks in blocks_used)
+
+    def test_deep_layer_blocks_are_the_size_of_the_weight(self, blocks_used):
+        # 512->512@28: a 9 MiB weight, 14 MiB of patches, 504 KiB per row
+        g = np.random.default_rng(71)
+        x = g.normal(size=(1, 512, 28, 28)).astype(np.float32)
+        layer = ConvLayer(weight=g.normal(size=(512, 512, 3, 3)).astype(np.float32),
+                          bias=np.zeros(512, dtype=np.float32))
+        conv2d_forward(x, layer)
+        [(_, weight_bytes, blocks)] = blocks_used
+        assert weight_bytes == layer.weight.nbytes > nn.BLOCK_BYTES
+        row = patch_bytes(x, (0, 1, 0, 1))
+        # blocks are whole rows: each but the last holds the weight's bytes
+        # to within one row, and none holds more
+        assert blocks == [(0, 1, 0, 18), (0, 1, 18, 28)]
+        assert all(patch_bytes(x, b) <= weight_bytes for b in blocks)
+        assert all(patch_bytes(x, b) > weight_bytes - row for b in blocks[:-1])
+        assert len(nn._blocks(x, 0)) == 14  # two rows per block on the bare budget
 
     def test_forward_peak_memory_stays_near_input_plus_output(self):
         g = np.random.default_rng(65)

@@ -51,6 +51,14 @@ class TestReadBinary:
         with pytest.raises(HeaderParse):
             read_pgm(b"P5\n0 2\n255\n")
 
+    @pytest.mark.parametrize("fields", [
+        b"+2 +2 255", b"2 2 +255", b"1_0 1 255", b"1 1_0 255", b"1 1 2_55",
+        b"-0 1 255", b"\x1c1 1 255", b"1 1 0x1", b"1 1 255.0",
+    ])
+    def test_header_numbers_are_ascii_digits_only(self, fields):
+        with pytest.raises(HeaderParse, match="invalid"):
+            read_pgm(b"P5 " + fields + b"\n" + bytes(100))
+
 
 class TestReadAscii:
     def test_minimal(self):
@@ -77,14 +85,23 @@ class TestReadAscii:
         with pytest.raises(HeaderParse):
             read_pgm(b"P2\n1 1\n255\nabc\n")
 
+    @pytest.mark.parametrize("sample", [b"+5", b"1_0", b"-0", b"\x1f7", b"\xd9\xa3"])
+    def test_samples_are_ascii_digits_only(self, sample):
+        with pytest.raises(HeaderParse, match="invalid pixel"):
+            read_pgm(b"P2\n2 1\n255\n1 " + sample + b"\n")
+
+    def test_leading_zeros_are_decimal(self):
+        img = read_pgm(b"P2 02 1 0255 007 010\n")
+        assert img.pixels.tolist() == [[7, 10]]
 
     def test_trailing_tokens_ignored(self):
-        img = read_pgm(b"P2\n1 1\n255\n+5 junk 999\n")
+        img = read_pgm(b"P2\n1 1\n255\n5 junk 999\n")
         assert img.pixels.tolist() == [[5]]
 
 
-# a raster token is a valid sample, a sign or digit separator Python's
-# int() accepts, a value out of range, or garbage
+# a raster token is a valid sample, a sign or digit separator that
+# Python's int() would accept but the format does not, a value out of
+# range, or garbage
 SAMPLE = st.one_of(
     st.integers(0, 255).map(lambda v: str(v).encode()),
     st.sampled_from([b"+5", b"1_0", b"-0", b"007", b"256", b"999", b"-1", b"abc", b"0x1", b"1.0"]),
@@ -96,13 +113,16 @@ SEPARATOR = st.one_of(
 )
 
 
-def header(draw, magic: bytes, width: int, height: int, maxvals: list[bytes]) -> bytes:
+def header(
+    draw, magic: bytes, width: int, height: int, maxvals: list[bytes], signs: bool
+) -> bytes:
     """Magic, then width, height and maxval tokens, each after a drawn
-    separator; the width and height tokens may carry a sign or leading
-    zeros."""
+    separator; the width and height tokens may carry leading zeros or,
+    when ``signs`` is set, a sign the format rejects."""
+    spellings = [b"%d", b"0%d", b"+%d"] if signs else [b"%d", b"0%d"]
     data = magic
     for value in (width, height):
-        data += draw(SEPARATOR) + draw(st.sampled_from([b"%d", b"+%d", b"0%d"])) % value
+        data += draw(SEPARATOR) + draw(st.sampled_from(spellings)) % value
     return data + draw(SEPARATOR) + draw(st.sampled_from(maxvals))
 
 
@@ -110,7 +130,7 @@ def header(draw, magic: bytes, width: int, height: int, maxvals: list[bytes]) ->
 def p2_files(draw):
     width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     tokens = draw(st.lists(SAMPLE, max_size=width * height + 3))
-    data = header(draw, b"P2", width, height, [b"255", b"0255", b"+255", b"254"])
+    data = header(draw, b"P2", width, height, [b"255", b"0255", b"+255", b"254"], True)
     for token in tokens:
         data += draw(SEPARATOR) + token
     return data + draw(st.sampled_from([b"", b"\n", b" #tail"]))
@@ -121,7 +141,7 @@ def p5_files(draw):
     """(file, payload): the one byte after maxval is whitespace or '#',
     and the payload may start with either."""
     width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    data = header(draw, b"P5", width, height, [b"255", b"0255"])
+    data = header(draw, b"P5", width, height, [b"255", b"0255"], False)
     payload = draw(st.binary(min_size=width * height, max_size=width * height))
     return data + draw(st.sampled_from([b" ", b"\n", b"\r", b"\x0c", b"#"])) + payload, payload
 

@@ -110,6 +110,7 @@ class TestTrainConfig:
             dict(architecture="vgg_tiny", input_size=30),
             dict(learning_rate=math.nan),
             dict(learning_rate=math.inf),
+            dict(architecture="vgg_tiny", input_size=1032),  # past MAX_TINY_INPUT_SIZE
         ],
     )
     def test_rejects_bad_values(self, overrides):
@@ -119,6 +120,7 @@ class TestTrainConfig:
     def test_tiny_accepts_multiples_of_eight(self):
         cfg = TrainConfig(architecture="vgg_tiny", input_size=48)
         assert cfg.input_size == 48
+        assert TrainConfig(architecture="vgg_tiny", input_size=1024).input_size == 1024
 
     @pytest.mark.parametrize(
         "fields, problem",
@@ -548,6 +550,18 @@ class TestCliErrors:
                 "--checkpoint", str(result.best_path), str(path)]
         assert main(argv) == 1
         assert "error: NoForeground:" in stderr_error(capsys)
+
+    def test_predict_with_a_huge_tiny_input_size(self, trained, tmp_path, capsys):
+        result, *_ = trained
+        path = black_pgm(tmp_path / "blank.pgm")
+        config = write_config(tmp_path / "c.json", train=dict(TINY, input_size=2**40))
+        argv = ["predict", "--config", config,
+                "--checkpoint", str(result.best_path), str(path)]
+        assert main(argv) == 1
+        err = stderr_error(capsys)
+        assert err.count("\n") == 1
+        assert err.startswith("error: BadConfig: vgg_tiny input_size must be at most 1024 "
+                              "and a positive multiple of 8, got 1099511627776")
 
     def test_out_of_range_augment_value(self, tmp_path, capsys):
         config = write_config(tmp_path / "c.json", train={"augment": {"shift_fraction": 2}})
