@@ -70,9 +70,7 @@ def read_pgm(data: bytes) -> GrayImage8:
         token, pos = match[1], match.end()
         if not token:
             raise HeaderParse(f"missing {what}")
-        if not token.isdigit():
-            raise HeaderParse(f"invalid {what}: {token!r}")
-        header.append(int(token))
+        header.append(_decimal(token, f"invalid {what}"))
     width, height, maxval = header
     if width < 1 or height < 1:
         raise HeaderParse(f"invalid dimensions {width}x{height}")
@@ -97,10 +95,19 @@ def read_pgm(data: bytes) -> GrayImage8:
     return GrayImage8(values.reshape(height, width))
 
 
-def _sample(token: bytes) -> int:
+def _decimal(token: bytes, error: str) -> int:
+    """The value of an ASCII-digit token; ``HeaderParse`` for any other
+    spelling or for more digits than ``int()`` converts."""
     if not token.isdigit():
-        raise HeaderParse(f"invalid pixel: {token!r}")
-    value = int(token)
+        raise HeaderParse(f"{error}: {token!r}")
+    try:
+        return int(token)
+    except ValueError:
+        raise HeaderParse(f"{error}: {len(token)}-digit number") from None
+
+
+def _sample(token: bytes) -> int:
+    value = _decimal(token, "invalid pixel")
     if not 0 <= value <= 255:
         raise HeaderParse(f"sample value {value} out of range [0, 255]")
     return value

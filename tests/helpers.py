@@ -199,9 +199,16 @@ def bbox_of(mask: np.ndarray) -> tuple[int, int, int, int]:
 _PGM_SPACE = b" \t\n\r\x0b\x0c"
 
 
-def _decimal(tok: bytes | None) -> bool:
-    """Whether ``tok`` is one or more ASCII digits 0-9, nothing else."""
-    return bool(tok) and all(0x30 <= byte <= 0x39 for byte in tok)
+def _decimal(tok: bytes | None) -> int | None:
+    """The value of ``tok`` if it is one or more ASCII digits 0-9 and
+    nothing else; None otherwise, and for more digits than ``int()``
+    converts."""
+    if not tok or not all(0x30 <= byte <= 0x39 for byte in tok):
+        return None
+    try:
+        return int(tok)
+    except ValueError:
+        return None
 
 
 def tokenwise_read_p2(data: bytes) -> tuple[str, np.ndarray | None]:
@@ -235,9 +242,10 @@ def tokenwise_read_p2(data: bytes) -> tuple[str, np.ndarray | None]:
     header = []
     for _ in range(3):
         tok = token()
-        if not _decimal(tok):
+        value = _decimal(tok)
+        if value is None:
             return "HeaderParse", None
-        header.append(int(tok))
+        header.append(value)
     width, height, maxval = header
     if width < 1 or height < 1 or maxval != 255:
         return "HeaderParse", None
@@ -246,10 +254,8 @@ def tokenwise_read_p2(data: bytes) -> tuple[str, np.ndarray | None]:
         tok = token()
         if tok is None:
             return "Truncated", None
-        if not _decimal(tok):
-            return "HeaderParse", None
-        v = int(tok)
-        if not 0 <= v <= 255:
+        v = _decimal(tok)
+        if v is None or not 0 <= v <= 255:
             return "HeaderParse", None
         values.append(v)
     return "ok", np.array(values, dtype=np.uint8).reshape(height, width)

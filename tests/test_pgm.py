@@ -59,6 +59,15 @@ class TestReadBinary:
         with pytest.raises(HeaderParse, match="invalid"):
             read_pgm(b"P5 " + fields + b"\n" + bytes(100))
 
+    # longer than the 4300 digits int() converts by default; each field is
+    # invalid under any limit, so a raised limit cannot turn it into Truncated
+    @pytest.mark.parametrize("fields", [
+        b"0" * 5000 + b" 1 255", b"1 " + b"0" * 5000 + b" 255", b"1 1 " + b"9" * 5000,
+    ], ids=["width", "height", "maxval"])
+    def test_header_numbers_too_long_for_int(self, fields):
+        with pytest.raises(HeaderParse):
+            read_pgm(b"P5 " + fields + b"\n\x00")
+
 
 class TestReadAscii:
     def test_minimal(self):
@@ -89,6 +98,10 @@ class TestReadAscii:
     def test_samples_are_ascii_digits_only(self, sample):
         with pytest.raises(HeaderParse, match="invalid pixel"):
             read_pgm(b"P2\n2 1\n255\n1 " + sample + b"\n")
+
+    def test_sample_too_long_for_int(self):
+        with pytest.raises(HeaderParse):
+            read_pgm(b"P2\n2 1\n255\n1 " + b"9" * 5000 + b"\n")
 
     def test_leading_zeros_are_decimal(self):
         img = read_pgm(b"P2 02 1 0255 007 010\n")
@@ -152,6 +165,8 @@ class TestAsciiAgainstTokenwiseDecoder:
     @example(b"P2\n2 1\n255\n+5 1_0")
     @example(b"P2\n2 2\n255\n1#c\n2 3")
     @example(b"P2\n1 1\n255 #c")
+    @example(b"P2\n1 1\n255\n" + b"9" * 5000)
+    @example(b"P2 " + b"0" * 5000 + b" 1 255 7")
     def test_same_pixels_or_same_error(self, data):
         outcome, pixels = tokenwise_read_p2(data)
         if outcome == "ok":

@@ -551,6 +551,18 @@ class TestCliErrors:
         assert main(argv) == 1
         assert "error: NoForeground:" in stderr_error(capsys)
 
+    def test_predict_with_a_too_long_header_number(self, trained, tmp_path, capsys):
+        result, *_ = trained
+        path = tmp_path / "long.pgm"
+        path.write_bytes(b"P5 " + b"0" * 5000 + b" 1 255\n\x00")
+        config = write_config(tmp_path / "c.json", train=TINY)
+        argv = ["predict", "--config", config,
+                "--checkpoint", str(result.best_path), str(path)]
+        assert main(argv) == 1
+        err = stderr_error(capsys)
+        assert err.count("\n") == 1
+        assert err.startswith("error: HeaderParse: ")
+
     def test_predict_with_a_huge_tiny_input_size(self, trained, tmp_path, capsys):
         result, *_ = trained
         path = black_pgm(tmp_path / "blank.pgm")
