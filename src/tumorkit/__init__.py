@@ -5,7 +5,7 @@ The public surface is re-exported here; submodules stay importable for
 the full API (``tumorkit.nn``, ``tumorkit.metrics``, ...).
 """
 
-from .augment import AugmentConfig, AugmentParams, augment_image, sample_params
+from .augment import AugmentParams, augment_image, sample_params
 from .checkpoint import (
     apply_weights,
     dump_weights,
@@ -62,7 +62,6 @@ from .train import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugmentConfig",
     "AugmentParams",
     "CLASSES",
     "ConfusionMatrix",

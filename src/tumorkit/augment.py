@@ -3,8 +3,10 @@
 Recipe: random clockwise rotation up to 15 degrees, shifts up to 10% of
 each dimension, brightness scaling between 50% darker and 50% brighter,
 a fixed 0.1 rad shear applied half the time, and fair-coin horizontal and
-vertical flips.  Everything runs on 8-bit images before z-score
-normalization so brightness clamping has well-defined semantics.
+vertical flips.  The recipe is the paper's and is not configurable: its
+bounds are the module constants below.  Everything runs on 8-bit images
+before z-score normalization so brightness clamping has well-defined
+semantics.
 
 Geometry conventions (x = column, y = row, y grows downward):
 
@@ -28,41 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadConfig, check_field_types
 from .pgm import GrayImage8
 from .rng import Rng
 
-
-@dataclass(frozen=True)
-class AugmentConfig:
-    """Bounds for one augmentation sample; defaults follow the recipe above."""
-
-    max_rotation_deg: float = 15.0
-    shift_fraction: float = 0.10
-    brightness_lo: float = 0.5
-    brightness_hi: float = 1.5
-    shear_rad: float = 0.1
-    allow_hflip: bool = True
-    allow_vflip: bool = True
-    symmetric_rotation: bool = False  # sample [-max, +max] instead of [0, max]
-
-    def __post_init__(self):
-        check_field_types(self)
-        for name in ("max_rotation_deg", "shift_fraction", "brightness_lo", "brightness_hi",
-                     "shear_rad"):
-            if not math.isfinite(getattr(self, name)):
-                raise BadConfig(f"{name} must be finite, got {getattr(self, name)}")
-        if self.max_rotation_deg < 0:
-            raise BadConfig(f"max_rotation_deg must be >= 0, got {self.max_rotation_deg}")
-        if not 0 <= self.shift_fraction < 1:
-            raise BadConfig(f"shift_fraction must be in [0, 1), got {self.shift_fraction}")
-        if not 0 < self.brightness_lo <= self.brightness_hi:
-            raise BadConfig(
-                f"need 0 < brightness_lo <= brightness_hi, got {self.brightness_lo}"
-                f" and {self.brightness_hi}"
-            )
-        if self.shear_rad < 0:
-            raise BadConfig(f"shear_rad must be >= 0, got {self.shear_rad}")
+MAX_ROTATION_DEG = 15.0
+SHIFT_FRACTION = 0.10
+BRIGHTNESS_LO = 0.5
+BRIGHTNESS_HI = 1.5
+SHEAR_RAD = 0.1
 
 
 @dataclass(frozen=True)
@@ -138,7 +113,7 @@ def flip(img: GrayImage8, axis: str) -> GrayImage8:
     raise ValueError(f"axis must be 'horizontal' or 'vertical', got {axis!r}")
 
 
-def sample_params(cfg: AugmentConfig, width: int, height: int, rng: Rng) -> AugmentParams:
+def sample_params(width: int, height: int, rng: Rng) -> AugmentParams:
     """Draw one parameter set; always consumes exactly 7 uniform draws."""
     u_rot = rng.random()
     u_dx = rng.random()
@@ -148,18 +123,14 @@ def sample_params(cfg: AugmentConfig, width: int, height: int, rng: Rng) -> Augm
     u_hflip = rng.random()
     u_vflip = rng.random()
 
-    if cfg.symmetric_rotation:
-        rotation = (2.0 * u_rot - 1.0) * cfg.max_rotation_deg
-    else:
-        rotation = u_rot * cfg.max_rotation_deg
     return AugmentParams(
-        rotation_deg=rotation,
-        dx_px=(2.0 * u_dx - 1.0) * cfg.shift_fraction * width,
-        dy_px=(2.0 * u_dy - 1.0) * cfg.shift_fraction * height,
-        brightness_factor=cfg.brightness_lo + u_bright * (cfg.brightness_hi - cfg.brightness_lo),
-        shear_rad_applied=cfg.shear_rad if u_shear < 0.5 else 0.0,
-        hflip=cfg.allow_hflip and u_hflip < 0.5,
-        vflip=cfg.allow_vflip and u_vflip < 0.5,
+        rotation_deg=u_rot * MAX_ROTATION_DEG,
+        dx_px=(2.0 * u_dx - 1.0) * SHIFT_FRACTION * width,
+        dy_px=(2.0 * u_dy - 1.0) * SHIFT_FRACTION * height,
+        brightness_factor=BRIGHTNESS_LO + u_bright * (BRIGHTNESS_HI - BRIGHTNESS_LO),
+        shear_rad_applied=SHEAR_RAD if u_shear < 0.5 else 0.0,
+        hflip=u_hflip < 0.5,
+        vflip=u_vflip < 0.5,
     )
 
 

@@ -9,8 +9,8 @@ Subcommands cover the whole pipeline:
     predict     classify a single image file
     report      regenerate report files from saved scores and history
 
-Every subcommand takes ``--config`` (a JSON file whose "split", "train",
-and nested "augment" objects mirror the config dataclass fields),
+Every subcommand takes ``--config`` (a JSON file whose "split" and
+"train" objects mirror the config dataclass fields),
 ``--seed`` (overrides both split and train seeds), ``--data-dir``, and
 ``--out``.  Failures exit nonzero after printing a single line:
 ``error: <ErrorClass>: <message>``.
@@ -19,7 +19,6 @@ and nested "augment" objects mirror the config dataclass fields),
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -57,22 +56,16 @@ SPLIT_FILES = ("train.csv", "val.csv", "test.csv")
 
 
 def _from_mapping(cls, data, context: str, overrides: dict):
-    """Build a config dataclass from a JSON object, rejecting unknown keys;
-    nested config objects are built the same way.  ``overrides`` are
-    applied last.  A value of the wrong type is named by its full key."""
+    """Build a config dataclass from a JSON object, rejecting unknown keys.
+    ``overrides`` are applied last.  A value of the wrong type is named by
+    its full key."""
     if not isinstance(data, dict):
         raise BadConfig(f"{context} must be a JSON object, got {type(data).__name__}")
-    hints = field_types(cls)  # field name -> type
-    unknown = sorted(set(data) - set(hints))
+    unknown = sorted(set(data) - set(field_types(cls)))
     if unknown:
         raise BadConfig(f"{context} has unknown keys: {', '.join(unknown)}")
-    fields = {
-        key: _from_mapping(hints[key], value, f"{context}.{key}", {})
-        if dataclasses.is_dataclass(hints[key]) else value
-        for key, value in data.items()
-    }
     try:
-        return cls(**{**fields, **overrides})
+        return cls(**{**data, **overrides})
     except BadConfig as exc:
         if exc.field is None:
             raise
@@ -85,9 +78,11 @@ def load_configs(
     """Read the JSON config (if any) and apply the seed override."""
     doc: dict = {}
     if config_path is not None:
+        # ValueError covers undecodable bytes, malformed JSON and numbers too
+        # long for int(); RecursionError, arrays or objects nested too deep
         try:
             doc = json.loads(Path(config_path).read_text())
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise BadConfig(f"cannot read config {config_path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise BadConfig("config root must be a JSON object")

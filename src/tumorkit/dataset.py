@@ -5,10 +5,11 @@ subdirectories of PGM files.  A manifest is the flat list of
 (path, label) pairs, always kept sorted by path so repeated scans and
 downstream splits are deterministic.
 
-The split shuffles each class with its own seeded stream and assigns
-floor(ratio * n) entries to the validation and test sets, remainder to
-train.  Flooring favors the training set; with 155 positives and 98
-negatives at 80:10:10 this yields 205/24/24.
+The split is always stratified: it shuffles each class with its own
+seeded stream and assigns floor(ratio * n) entries to the validation
+and test sets; train is the remainder, so it has no ratio of its own.
+Flooring favors the training set; with 155 positives and 98 negatives
+at 10 % validation and 10 % test this yields 205/24/24.
 """
 
 from __future__ import annotations
@@ -65,21 +66,19 @@ class DatasetManifest:
 
 @dataclass(frozen=True)
 class SplitConfig:
-    """Ratios for train/val/test, the shuffle seed, and stratification."""
+    """Validation and test ratios and the shuffle seed; train takes the rest."""
 
-    train_ratio: float = 0.8
     val_ratio: float = 0.1
     test_ratio: float = 0.1
     seed: int = 0
-    stratified: bool = True
 
     def __post_init__(self):
         check_field_types(self)
-        ratios = (self.train_ratio, self.val_ratio, self.test_ratio)
+        ratios = (self.val_ratio, self.test_ratio)
         if not all(math.isfinite(r) and r > 0 for r in ratios):
             raise BadConfig(f"split ratios must be positive and finite, got {ratios}")
-        if abs(sum(ratios) - 1.0) > 1e-9:
-            raise BadConfig(f"split ratios must sum to 1, got {sum(ratios)}")
+        if sum(ratios) >= 1:
+            raise BadConfig(f"val_ratio + test_ratio must be below 1, got {sum(ratios)}")
 
 
 def scan_dataset(root_dir: str | Path) -> DatasetManifest:
@@ -115,29 +114,22 @@ def stratified_split(
 ) -> tuple[DatasetManifest, DatasetManifest, DatasetManifest]:
     """Partition into (train, val, test) manifests, each sorted by path.
 
-    Stratified mode splits each class independently with its own
-    sub-stream; otherwise the whole manifest is shuffled at once.
+    Each class is split independently with its own sub-stream.
     """
     val: list[ManifestEntry] = []
     test: list[ManifestEntry] = []
     train: list[ManifestEntry] = []
-    if cfg.stratified:
-        for class_index, label in enumerate(CLASSES):
-            items = manifest.of_class(label)
-            if len(items) < MIN_CLASS_SIZE:
-                raise ClassTooSmall(
-                    f"class {label!r} has {len(items)} entries, needs {MIN_CLASS_SIZE}"
-                )
-            rng = Rng(mix_seed(cfg.seed, STREAM_SPLIT, class_index))
-            v, t, tr = _floor_split(items, cfg, rng)
-            val.extend(v)
-            test.extend(t)
-            train.extend(tr)
-    else:
-        if len(manifest) < MIN_CLASS_SIZE:
-            raise ClassTooSmall(f"{len(manifest)} entries, needs {MIN_CLASS_SIZE}")
-        rng = Rng(mix_seed(cfg.seed, STREAM_SPLIT))
-        val, test, train = _floor_split(manifest.entries, cfg, rng)
+    for class_index, label in enumerate(CLASSES):
+        items = manifest.of_class(label)
+        if len(items) < MIN_CLASS_SIZE:
+            raise ClassTooSmall(
+                f"class {label!r} has {len(items)} entries, needs {MIN_CLASS_SIZE}"
+            )
+        rng = Rng(mix_seed(cfg.seed, STREAM_SPLIT, class_index))
+        v, t, tr = _floor_split(items, cfg, rng)
+        val.extend(v)
+        test.extend(t)
+        train.extend(tr)
     key = lambda e: e.path
     return (
         DatasetManifest(sorted(train, key=key)),

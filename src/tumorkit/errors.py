@@ -137,7 +137,7 @@ def _field_rules(cls) -> tuple[tuple[str, tuple[type, ...], bool, str], ...]:
     for name, hint in field_types(cls).items():
         allowed = typing.get_args(hint) or (hint,)  # str | None -> (str, NoneType)
         accepts = tuple(a for t in allowed for a in _ACCEPTS.get(t, (t,)))
-        want = " or ".join(_TYPE_NAMES.get(t, f"an instance of {t.__name__}") for t in allowed)
+        want = " or ".join(_TYPE_NAMES[t] for t in allowed)
         rules.append((name, accepts, bool in allowed, want))
     return tuple(rules)
 
@@ -146,9 +146,8 @@ def check_field_types(config) -> None:
     """Raise :class:`BadConfig` for the first field of a config dataclass
     whose value does not have the field's declared type.
 
-    An ``int`` field takes integers but not booleans, a ``float`` field
-    any number but a boolean, and a nested config field an instance of
-    its own config class.
+    An ``int`` field takes integers but not booleans, and a ``float``
+    field any number but a boolean.
     """
     for name, accepts, bool_fits, want in _field_rules(type(config)):
         value = getattr(config, name)

@@ -14,10 +14,12 @@ The chain applied to every scan, in order:
 
 Steps 3 and 4 are one labelling pass over the mask's row runs
 (:func:`largest_component`), which yields the crop box directly.
-Steps 1-5 stay in 8-bit space; step 6 produces the float tensor fed to
-the network.  Training augmentation slots between 5 and 6, which is why
-:func:`crop_and_resize` is exposed separately from the full
-:func:`preprocess_image`.
+The threshold and the opening are the paper's and fixed
+(:data:`DEFAULT_THRESHOLD`, :data:`DEFAULT_MORPH_ITERS`); only the output
+size is a parameter.  Steps 1-5 stay in 8-bit space; step 6 produces the
+float tensor fed to the network.  Training augmentation slots between 5
+and 6, which is why :func:`crop_and_resize` is exposed separately from
+the full :func:`preprocess_image`.
 """
 
 from __future__ import annotations
@@ -237,34 +239,20 @@ def normalize_zscore(t: np.ndarray, degenerate_std: float = DEGENERATE_STD) -> n
     return ((arr.astype(np.float64) - mean) / std).astype(dtype)
 
 
-def compute_crop_box(
-    img: GrayImage8,
-    t: int = DEFAULT_THRESHOLD,
-    iters: int = DEFAULT_MORPH_ITERS,
-) -> CropBox:
+def compute_crop_box(img: GrayImage8) -> CropBox:
     """Crop box after threshold, opening, and largest-component selection."""
-    return largest_component(dilate(erode(threshold(img, t), iters), iters))
+    mask = threshold(img, DEFAULT_THRESHOLD)
+    return largest_component(dilate(erode(mask, DEFAULT_MORPH_ITERS), DEFAULT_MORPH_ITERS))
 
 
-def crop_and_resize(
-    img: GrayImage8,
-    t: int = DEFAULT_THRESHOLD,
-    iters: int = DEFAULT_MORPH_ITERS,
-    out_size: int = DEFAULT_SIZE,
-) -> GrayImage8:
+def crop_and_resize(img: GrayImage8, out_size: int = DEFAULT_SIZE) -> GrayImage8:
     """The 8-bit part of the chain: steps 1-5, no normalization yet."""
-    box = compute_crop_box(img, t, iters)
+    box = compute_crop_box(img)
     cropped = GrayImage8(img.pixels[box.top : box.bottom + 1, box.left : box.right + 1])
     return resize_bilinear(cropped, out_size, out_size)
 
 
-def preprocess_image(
-    img: GrayImage8,
-    t: int = DEFAULT_THRESHOLD,
-    iters: int = DEFAULT_MORPH_ITERS,
-    out_size: int = DEFAULT_SIZE,
-    dtype=np.float32,
-) -> np.ndarray:
-    """Full chain; returns a normalized [1, out_size, out_size] tensor."""
-    resized = crop_and_resize(img, t, iters, out_size)
-    return normalize_zscore(image_to_tensor(resized, dtype=dtype))
+def preprocess_image(img: GrayImage8, out_size: int = DEFAULT_SIZE) -> np.ndarray:
+    """Full chain; returns a normalized float32 [1, out_size, out_size] tensor."""
+    resized = crop_and_resize(img, out_size)
+    return normalize_zscore(image_to_tensor(resized))

@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .augment import AugmentConfig, augment_image, sample_params
+from .augment import augment_image, sample_params
 from .checkpoint import load_model, save_checkpoint, save_weights
 # unused here, but bench/tracing.py patches these names on this module
 from .checkpoint import apply_weights, dump_weights, load_checkpoint  # noqa: F401
@@ -40,12 +40,7 @@ from .metrics import CLASSES, MetricsReport, ScoredSample, evaluate_scores, labe
 from .model import FREEZE_POLICIES, Model, apply_freeze_policy, build_model, init_weights
 from .nn import AdamState, adam_step, softmax, softmax_ce_loss
 from .pgm import GrayImage8, image_to_tensor, read_pgm
-from .preprocess import (
-    DEFAULT_MORPH_ITERS,
-    DEFAULT_THRESHOLD,
-    crop_and_resize,
-    normalize_zscore,
-)
+from .preprocess import crop_and_resize, normalize_zscore
 from .report import EpochStats
 from .rng import Rng, STREAM_AUGMENT, STREAM_DROPOUT, STREAM_INIT, STREAM_SHUFFLE, mix_seed
 
@@ -62,20 +57,19 @@ class TrainConfig:
     """Hyperparameters and run plumbing for one training run.
 
     ``input_size`` is 224 for vgg16 and a multiple of 8 from 8 to
-    :data:`MAX_TINY_INPUT_SIZE` for vgg_tiny.
+    :data:`MAX_TINY_INPUT_SIZE` for vgg_tiny.  The crop chain and the
+    augmentation recipe are fixed (see :mod:`tumorkit.preprocess` and
+    :mod:`tumorkit.augment`), so they have no fields here.
     """
 
     learning_rate: float = 1e-4
     epochs: int = 80
     batch_size: int = 16
     seed: int = 0
-    augment: AugmentConfig = field(default_factory=AugmentConfig)
     freeze_policy: str = "none"
     architecture: str = "vgg16"
     input_size: int = 224
     init_checkpoint: str | None = None
-    threshold: int = DEFAULT_THRESHOLD
-    morph_iterations: int = DEFAULT_MORPH_ITERS
 
     def __post_init__(self):
         check_field_types(self)
@@ -98,10 +92,6 @@ class TrainConfig:
                 f"vgg_tiny input_size must be at most {MAX_TINY_INPUT_SIZE} "
                 f"and a positive multiple of 8, got {self.input_size}"
             )
-        if not 0 <= self.threshold <= 255:
-            raise BadConfig(f"threshold must be in [0, 255], got {self.threshold}")
-        if self.morph_iterations < 0:
-            raise BadConfig(f"morph_iterations must be >= 0, got {self.morph_iterations}")
 
 
 @dataclass
@@ -121,7 +111,7 @@ def load_one_image(path: str | Path, cfg: TrainConfig) -> GrayImage8:
         raise Unreadable(f"cannot read image {path}: {exc.strerror or exc}") from exc
     try:
         img = read_pgm(data)
-        return crop_and_resize(img, cfg.threshold, cfg.morph_iterations, cfg.input_size)
+        return crop_and_resize(img, cfg.input_size)
     except TumorkitError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
@@ -216,7 +206,7 @@ def run_training(
             images = []
             for idx in chunk:
                 sub = Rng(mix_seed(cfg.seed, STREAM_AUGMENT, epoch, idx))
-                p = sample_params(cfg.augment, size, size, sub)
+                p = sample_params(size, size, sub)
                 images.append(augment_image(train_base[idx][0], p))
             x = _to_batch(images)
             targets = train_targets[chunk]

@@ -1,14 +1,10 @@
 """Affine warps, brightness, flips, and the seeded parameter sampler."""
 
-import math
-import re
-
 import numpy as np
 import pytest
 
 from helpers import loop_affine_nearest
 from tumorkit.augment import (
-    AugmentConfig,
     AugmentParams,
     adjust_brightness,
     apply_affine,
@@ -17,7 +13,6 @@ from tumorkit.augment import (
     flip,
     sample_params,
 )
-from tumorkit.errors import BadConfig
 from tumorkit.pgm import GrayImage8
 from tumorkit.rng import Rng
 
@@ -26,58 +21,14 @@ def gray(pixels) -> GrayImage8:
     return GrayImage8(np.array(pixels, dtype=np.uint8))
 
 
-class TestConfig:
-    def test_defaults_are_valid(self):
-        cfg = AugmentConfig()
-        assert cfg.max_rotation_deg == 15.0
-        assert cfg.brightness_lo == 0.5 and cfg.brightness_hi == 1.5
-
-    def test_rejects_bad_bounds(self):
-        with pytest.raises(BadConfig):
-            AugmentConfig(max_rotation_deg=-1)
-        with pytest.raises(BadConfig):
-            AugmentConfig(shift_fraction=1.0)
-        with pytest.raises(BadConfig):
-            AugmentConfig(brightness_lo=0.0)
-        with pytest.raises(BadConfig):
-            AugmentConfig(brightness_lo=1.2, brightness_hi=0.8)
-        with pytest.raises(BadConfig):
-            AugmentConfig(shear_rad=-0.1)
-
-    @pytest.mark.parametrize("field", ["max_rotation_deg", "shift_fraction", "brightness_lo",
-                                       "brightness_hi", "shear_rad"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_rejects_non_finite_numbers(self, field, value):
-        with pytest.raises(BadConfig, match=f"{field} must be finite"):
-            AugmentConfig(**{field: value})
-
-    @pytest.mark.parametrize(
-        "fields, problem",
-        [
-            (dict(allow_hflip="no"), 'allow_hflip must be true or false, got "no"'),
-            (dict(symmetric_rotation=0), "symmetric_rotation must be true or false, got 0"),
-            (dict(shear_rad=True), "shear_rad must be a number, got true"),
-            (dict(max_rotation_deg="15"), 'max_rotation_deg must be a number, got "15"'),
-        ],
-        ids=["str-hflip", "int-symmetric", "bool-shear", "str-rotation"],
-    )
-    def test_rejects_field_of_wrong_type(self, fields, problem):
-        with pytest.raises(BadConfig, match=re.escape(problem)):
-            AugmentConfig(**fields)
-
-    def test_accepts_integers_for_numbers(self):
-        assert AugmentConfig(max_rotation_deg=10, brightness_hi=2).max_rotation_deg == 10
-
-
 class TestSampleParams:
     def test_ranges_and_coverage(self):
-        cfg = AugmentConfig()
         rng = Rng(7)
         seen_shear = set()
         seen_hflip = set()
         seen_vflip = set()
         for _ in range(500):
-            p = sample_params(cfg, 100, 80, rng)
+            p = sample_params(100, 80, rng)
             assert 0.0 <= p.rotation_deg <= 15.0
             assert abs(p.dx_px) <= 10.0
             assert abs(p.dy_px) <= 8.0
@@ -91,33 +42,17 @@ class TestSampleParams:
         assert seen_vflip == {False, True}
 
     def test_consumes_exactly_seven_draws(self):
-        cfg = AugmentConfig()
         a = Rng(123)
-        sample_params(cfg, 64, 64, a)
+        sample_params(64, 64, a)
         b = Rng(123)
         for _ in range(7):
             b.random()
         assert a.random() == b.random()
 
     def test_deterministic_from_seed(self):
-        cfg = AugmentConfig()
-        p1 = sample_params(cfg, 64, 48, Rng(99))
-        p2 = sample_params(cfg, 64, 48, Rng(99))
+        p1 = sample_params(64, 48, Rng(99))
+        p2 = sample_params(64, 48, Rng(99))
         assert p1 == p2
-
-    def test_symmetric_rotation_covers_both_signs(self):
-        cfg = AugmentConfig(symmetric_rotation=True)
-        rng = Rng(3)
-        rots = [sample_params(cfg, 10, 10, rng).rotation_deg for _ in range(200)]
-        assert min(rots) < 0 < max(rots)
-        assert all(-15.0 <= r <= 15.0 for r in rots)
-
-    def test_disabled_flips_never_fire(self):
-        cfg = AugmentConfig(allow_hflip=False, allow_vflip=False)
-        rng = Rng(5)
-        for _ in range(100):
-            p = sample_params(cfg, 10, 10, rng)
-            assert not p.hflip and not p.vflip
 
 
 class TestBuildAffine:
@@ -237,7 +172,7 @@ class TestAugmentImage:
     def test_deterministic_with_same_params(self):
         g = np.random.default_rng(73)
         px = g.integers(0, 256, size=(12, 12), dtype=np.uint8)
-        p = sample_params(AugmentConfig(), 12, 12, Rng(17))
+        p = sample_params(12, 12, Rng(17))
         a = augment_image(GrayImage8(px), p)
         b = augment_image(GrayImage8(px), p)
         assert np.array_equal(a.pixels, b.pixels)
@@ -245,6 +180,6 @@ class TestAugmentImage:
     def test_output_shape_matches_input(self):
         rng = Rng(1)
         img = gray(np.full((9, 13), 80))
-        p = sample_params(AugmentConfig(), 13, 9, rng)
+        p = sample_params(13, 9, rng)
         out = augment_image(img, p)
         assert (out.height, out.width) == (9, 13)

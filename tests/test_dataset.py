@@ -85,20 +85,31 @@ class TestScan:
 class TestSplitConfig:
     def test_defaults(self):
         cfg = SplitConfig()
-        assert (cfg.train_ratio, cfg.val_ratio, cfg.test_ratio) == (0.8, 0.1, 0.1)
-        assert cfg.stratified
+        assert (cfg.val_ratio, cfg.test_ratio, cfg.seed) == (0.1, 0.1, 0)
 
-    def test_ratios_must_sum_to_one(self):
-        with pytest.raises(BadConfig):
-            SplitConfig(train_ratio=0.8, val_ratio=0.1, test_ratio=0.2)
+    @pytest.mark.parametrize("val, test", [(0.5, 0.5), (0.9, 0.1 + 1e-9)])
+    def test_val_and_test_must_leave_room_for_train(self, val, test):
+        with pytest.raises(BadConfig, match=r"val_ratio \+ test_ratio must be below 1"):
+            SplitConfig(val_ratio=val, test_ratio=test)
 
     def test_ratios_must_be_positive(self):
         with pytest.raises(BadConfig):
-            SplitConfig(train_ratio=1.1, val_ratio=-0.05, test_ratio=-0.05)
+            SplitConfig(val_ratio=-0.05, test_ratio=0.1)
+        with pytest.raises(BadConfig):
+            SplitConfig(val_ratio=0.1, test_ratio=0.0)
 
     def test_not_a_number_ratio_rejected(self):
         with pytest.raises(BadConfig, match="positive and finite"):
-            SplitConfig(train_ratio=math.nan)
+            SplitConfig(val_ratio=math.nan)
+        with pytest.raises(BadConfig, match="positive and finite"):
+            SplitConfig(test_ratio=math.inf)
+
+    def test_remainder_goes_to_train(self):
+        # val and test may take almost everything
+        train, val, test = stratified_split(
+            fake_manifest(12, 12), SplitConfig(val_ratio=0.5, test_ratio=0.499999999)
+        )
+        assert (len(train), len(val), len(test)) == (2, 12, 10)
 
     @pytest.mark.parametrize(
         "fields, problem",
@@ -106,10 +117,9 @@ class TestSplitConfig:
             (dict(seed="x"), 'seed must be an integer, got "x"'),
             (dict(seed=True), "seed must be an integer, got true"),
             (dict(seed=1.0), "seed must be an integer, got 1.0"),
-            (dict(train_ratio="0.8"), 'train_ratio must be a number, got "0.8"'),
-            (dict(stratified=1), "stratified must be true or false, got 1"),
+            (dict(val_ratio="0.1"), 'val_ratio must be a number, got "0.1"'),
         ],
-        ids=["str-seed", "bool-seed", "float-seed", "str-ratio", "int-stratified"],
+        ids=["str-seed", "bool-seed", "float-seed", "str-ratio"],
     )
     def test_field_of_wrong_type(self, fields, problem):
         with pytest.raises(BadConfig, match=re.escape(problem)):
@@ -162,16 +172,11 @@ class TestStratifiedSplit:
         assert [len(p) for p in a] == [len(p) for p in b]
         assert {e.path for e in a[1].entries} != {e.path for e in b[1].entries}
 
-    def test_pooled_split_of_ten(self):
-        cfg = SplitConfig(seed=0, stratified=False)
-        train, val, test = stratified_split(fake_manifest(5, 5), cfg)
-        assert (len(train), len(val), len(test)) == (8, 1, 1)
-
     def test_class_too_small(self):
         with pytest.raises(ClassTooSmall):
             stratified_split(fake_manifest(2, 10), SplitConfig())
         with pytest.raises(ClassTooSmall):
-            stratified_split(fake_manifest(1, 1), SplitConfig(stratified=False))
+            stratified_split(fake_manifest(10, 2), SplitConfig())
 
 
 class TestManifestFiles:

@@ -125,20 +125,15 @@ class TestTrainConfig:
     @pytest.mark.parametrize(
         "fields, problem",
         [
-            (dict(batch_size=2.5, threshold=45.5), "batch_size must be an integer, got 2.5"),
-            (dict(threshold=45.5), "threshold must be an integer, got 45.5"),
+            (dict(batch_size=2.5), "batch_size must be an integer, got 2.5"),
             (dict(epochs=True), "epochs must be an integer, got true"),
             (dict(seed=False), "seed must be an integer, got false"),
-            (dict(morph_iterations=True), "morph_iterations must be an integer, got true"),
             (dict(learning_rate=False), "learning_rate must be a number, got false"),
             (dict(architecture=16), "architecture must be a string, got 16"),
             (dict(init_checkpoint=5), "init_checkpoint must be a string or null, got 5"),
-            (dict(augment={"allow_hflip": False}),
-             'augment must be an instance of AugmentConfig, got {"allow_hflip": false}'),
         ],
-        ids=["float-batch-size", "float-threshold", "bool-epochs", "bool-seed",
-             "bool-morph-iterations", "bool-learning-rate", "int-architecture",
-             "int-init-checkpoint", "dict-augment"],
+        ids=["float-batch-size", "bool-epochs", "bool-seed", "bool-learning-rate",
+             "int-architecture", "int-init-checkpoint"],
     )
     def test_rejects_field_of_wrong_type(self, fields, problem):
         with pytest.raises(BadConfig, match=re.escape(problem)) as info:
@@ -410,14 +405,6 @@ class TestCliVariants:
         assert read(flagged) == read(configured)
         assert read(flagged) != read(plain)
 
-    def test_nested_augment_config_is_parsed(self, blob_data, tmp_path):
-        root, _ = blob_data
-        train = {**TINY, "epochs": 1, "augment": {"max_rotation_deg": 0.0, "allow_hflip": False}}
-        config = write_config(tmp_path / "c.json", train=train)
-        out = tmp_path / "run"
-        argv = ["train", "--config", config, "--data-dir", str(root), "--out", str(out)]
-        assert main(argv) == 0
-
     def test_preprocess_writes_cropped_copies(self, blob_data, tmp_path, capsys):
         root, _ = blob_data
         argv = ["preprocess", "--config", write_config(tmp_path / "c.json", train=TINY),
@@ -512,7 +499,28 @@ class TestCliErrors:
         config = write_config(tmp_path / "c.json", train={"augment": {"blur": 1}})
         assert main(["split", "--config", config, "--data-dir", "x",
                      "--out", str(tmp_path / "o")]) == 1
-        assert "train.augment has unknown keys: blur" in stderr_error(capsys)
+        assert "train has unknown keys: augment" in stderr_error(capsys)
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("split", "train_ratio", 0.8),
+            ("split", "stratified", True),
+            ("train", "threshold", 45),
+            ("train", "morph_iterations", 2),
+            ("train", "augment", {}),
+        ],
+        ids=["split.train_ratio", "split.stratified", "train.threshold",
+             "train.morph_iterations", "train.augment"],
+    )
+    def test_removed_config_key(self, tmp_path, capsys, section, key, value):
+        # the crop chain, the augmentation recipe and the split's train share
+        # are fixed, so even the value these keys used to default to is refused
+        config = write_config(tmp_path / "c.json", extra={section: {key: value}})
+        assert main(["split", "--config", config, "--data-dir", "x",
+                     "--out", str(tmp_path / "o")]) == 1
+        err = stderr_error(capsys)
+        assert err == f"error: BadConfig: {section} has unknown keys: {key}\n"
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["split", "--config", str(tmp_path / "nope.json"),
@@ -534,6 +542,24 @@ class TestCliErrors:
         err = stderr_error(capsys)
         assert err.count("\n") == 1
         assert err.startswith(f"error: BadConfig: cannot read config {bad}: 'utf-8' codec")
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ('{"train": {"epochs": ' + "9" * 5000 + "}}", "Exceeds the limit"),
+            ("[" * 100_000, "maximum recursion depth exceeded"),
+        ],
+        ids=["number-too-long-for-int", "nested-too-deep"],
+    )
+    def test_config_that_json_cannot_parse(self, tmp_path, capsys, text, problem):
+        bad = tmp_path / "c.json"
+        bad.write_text(text)
+        assert main(["split", "--config", str(bad), "--data-dir", "x",
+                     "--out", str(tmp_path / "o")]) == 1
+        err = stderr_error(capsys)
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: BadConfig: cannot read config {bad}: ")
+        assert problem in err
 
     def test_config_root_must_be_object(self, tmp_path, capsys):
         bad = tmp_path / "c.json"
@@ -580,13 +606,13 @@ class TestCliErrors:
         assert main(["train", "--config", config, "--out", str(tmp_path / "o")]) == 1
         err = stderr_error(capsys)
         assert err.count("\n") == 1
-        assert err.startswith("error: BadConfig: shift_fraction must be in [0, 1)")
+        assert err == "error: BadConfig: train has unknown keys: augment\n"
 
     @pytest.mark.parametrize(
         "train, problem",
         [
-            ({"threshold": 300}, "threshold must be in [0, 255], got 300"),
-            ({"morph_iterations": -1}, "morph_iterations must be >= 0, got -1"),
+            ({"threshold": 300}, "train has unknown keys: threshold"),
+            ({"morph_iterations": -1}, "train has unknown keys: morph_iterations"),
             ({"architecture": "vgg_tiny", "input_size": 0}, "positive multiple of 8, got 0"),
         ],
         ids=["threshold", "morph-iterations", "tiny-input-size"],
@@ -615,9 +641,8 @@ class TestCliErrors:
             ({"split": [["seed", 3]]}, "split must be a JSON object, got list"),
             ({"train": []}, "train must be a JSON object, got list"),
             ({"train": {"input_size": 64.0}}, "train.input_size must be an integer, got 64.0"),
-            ({"train": {"threshold": 45.5}}, "train.threshold must be an integer, got 45.5"),
-            ({"train": {"augment": {"allow_hflip": "no"}}},
-             'train.augment.allow_hflip must be true or false, got "no"'),
+            ({"train": {"threshold": 45.5}}, "train has unknown keys: threshold"),
+            ({"train": {"augment": {"allow_hflip": "no"}}}, "train has unknown keys: augment"),
         ],
         ids=["float-batch-size", "float-epochs", "bool-epochs", "str-train-seed",
              "str-split-seed", "int-init-checkpoint", "int-split", "str-train",
@@ -671,8 +696,8 @@ class TestCliErrors:
         [
             ('"learning_rate": NaN', "learning_rate must be positive and finite"),
             ('"learning_rate": 1e400', "learning_rate must be positive and finite"),
-            ('"augment": {"max_rotation_deg": NaN}', "max_rotation_deg must be finite"),
-            ('"augment": {"shear_rad": Infinity}', "shear_rad must be finite"),
+            ('"augment": {"max_rotation_deg": NaN}', "train has unknown keys: augment"),
+            ('"augment": {"shear_rad": Infinity}', "train has unknown keys: augment"),
         ],
         ids=["nan-learning-rate", "overflowing-learning-rate", "nan-rotation", "inf-shear"],
     )
