@@ -39,6 +39,30 @@ leaves the bits of every layer shape of both built-in networks as they
 were.  The weight gradient reduces over the columns, so it keeps the
 one-shot patch matrix.
 
+A large product also uses the cores BLAS leaves idle.  ``WORKERS`` is
+the number of cores this process may use divided by the threads
+OpenBLAS starts with (``OPENBLAS_NUM_THREADS``, then
+``OMP_NUM_THREADS``, else one per core), so with BLAS unpinned it is 1
+and every product runs as above, on the calling thread.  A product of
+at least ``2 * SPLIT_MACS`` multiply-adds is cut into
+``min(WORKERS, multiply-adds // SPLIT_MACS)`` shares of whole rows: one
+runs on the calling thread and the others on a module thread pool of at
+most ``WORKERS - 1`` threads, while numpy's copies and BLAS release the
+GIL.  Each share builds its blocks in its own buffer and writes their
+products and bias into its own columns of the result, so a split
+product holds at most one more block buffer per extra worker.  The bits
+do not depend on the worker count: a share's blocks are the blocks of
+the one-thread path, except where a cut splits a block, and then each
+part holds at least an eighth of a share (at least ``SPLIT_MACS / 8``
+multiply-adds).  That bound matters: OpenBLAS 0.3.31 on an AVX-512 Xeon
+sends products of up to 10**6 multiply-adds to a small-matrix kernel,
+and one-column products to a matrix-vector kernel, either of which can
+round a column differently from a wider product.  Above that, every
+float32 column of a [64, 576] or [512, 4608] weight's product came out
+the same at every width from 2 to 700 columns, and split products
+equalled the one-thread ones byte for byte on the layer shapes of both
+built-in networks (batches of 1 to 64, 2 to 4 workers).
+
 Pooling is 2x2 max with stride 2, taken pairwise over the four strided
 phases of the input.  The routing code of a window is its argmax in
 row-major order (0 top-left, 1 top-right, 2 bottom-left, 3 bottom-right)
@@ -51,6 +75,9 @@ identity).
 
 from __future__ import annotations
 
+import bisect
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -72,6 +99,55 @@ KERNEL = 3
 # layers the two cancel, which is why vgg16 predicts timed with one
 # budget of 2 to 32 MiB differed by less than their spread.
 BLOCK_BYTES = 2**20
+# Least multiply-adds a share of a split product holds (see
+# _patch_product).  Handing a share to a worker costs ~0.3 ms.  Two-share
+# product medians against one thread (2-core Xeon, OpenBLAS 0.3.31 pinned
+# to one thread): 4.7-9.4 M multiply-adds 0.58-0.98x; the 18.9 M products
+# of a 16-image vgg_tiny@64 step 0.94-1.22x alone, and slower end to end;
+# 21-38 M 1.13-2.17x (vgg16's first layer, 28.9 M, 2.17x); the other
+# vgg16@224 products, 0.46-1.85 G, 1.5x.  So a product splits from
+# 2 * SPLIT_MACS (25.2 M): above the vgg_tiny step's products, below
+# vgg16's first layer.
+SPLIT_MACS = 12 * 2**20
+
+
+def _workers() -> int:
+    """Threads a product may run on: the cores this process may use that
+    BLAS leaves idle.  BLAS threads are what OpenBLAS reads when it loads,
+    ``OPENBLAS_NUM_THREADS``, then ``OMP_NUM_THREADS``, else one per
+    core, so with BLAS unpinned this is 1."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        cores = os.cpu_count() or 1
+    blas = cores
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            blas = min(threads, cores)
+            break
+    return max(1, cores // blas)
+
+
+WORKERS = _workers()
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _executor():
+    """The thread pool that runs the shares of split products, made at the
+    first split: importing ``concurrent.futures`` imports ``logging``, 0.6 MB
+    of resident memory that a process which never splits does not pay."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(max(1, WORKERS - 1), thread_name_prefix="nn-share")
+    return _pool
 
 
 @dataclass
@@ -204,6 +280,66 @@ def _blocks(x: np.ndarray, weight_bytes: int) -> list[tuple[int, int, int, int]]
     return [(i, i + 1, r, min(r + per, h)) for i in range(n) for r in range(0, h, per)]
 
 
+def _shares(
+    blocks: list[tuple[int, int, int, int]], h: int, count: int
+) -> list[list[tuple[int, int, int, int]]]:
+    """``blocks`` of an input of height ``h`` cut into up to ``count`` runs
+    of whole rows (image * h + row, counted across the batch), the blocks
+    each run covers clipped to it.
+
+    Each cut starts at an even share of the rows.  Within a quarter of a
+    share of a block's first row it moves to the nearest such row;
+    otherwise it splits the block it falls in, at the nearest image
+    boundary if the block holds several images, else at that row.  So
+    each part of a split block holds at least an eighth of a share, never
+    a sliver that BLAS might round differently (see the module notes).
+    """
+    rows = blocks[-1][1] * h
+    starts = [n0 * h + r0 for n0, _, r0, _ in blocks] + [rows]
+    cuts = [0]
+    for k in range(1, count):
+        cut = rows * k // count
+        i = bisect.bisect_right(starts, cut) - 1
+        start = min(starts[i], starts[i + 1], key=lambda r: abs(r - cut))
+        n0, n1, _, _ = blocks[i]
+        if abs(start - cut) * 4 * count <= rows:
+            cut = start
+        elif n1 - n0 > 1:
+            cut = round(cut / h) * h
+        cuts.append(cut)
+    cuts.append(rows)
+    shares = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        share = []
+        for n0, n1, r0, r1 in blocks:
+            s, e = max(n0 * h + r0, lo), min((n1 - 1) * h + r1, hi)
+            if s < e:
+                share.append((n0, n1, s - n0 * h, e - n0 * h) if n1 - n0 == 1
+                             else (s // h, e // h, 0, h))
+        if share:
+            shares.append(share)
+    return shares
+
+
+def _fill(
+    y: np.ndarray, weight: np.ndarray, xp: np.ndarray, shape: tuple[int, int, int, int],
+    blocks: list[tuple[int, int, int, int]], bias: np.ndarray | None,
+) -> None:
+    """Build and multiply ``blocks`` of the :func:`_pad` layout ``xp`` in
+    one buffer, writing each product, plus ``bias``, into its columns of
+    ``y``."""
+    _, c, h, w = shape
+    sizes = [c * KERNEL * KERNEL * (n1 - n0) * (r1 - r0) * w for n0, n1, r0, r1 in blocks]
+    buf = np.empty(max(sizes), dtype=xp.dtype)
+    for block, size in zip(blocks, sizes):
+        cols = _patches(xp, shape, block, buf[:size])
+        start = (block[0] * h + block[2]) * w
+        out = y[:, start : start + cols.shape[1]]
+        np.matmul(weight, cols, out=out)
+        if bias is not None:
+            out += bias[:, None]
+
+
 def _patch_product(
     weight: np.ndarray, x: np.ndarray, bias: np.ndarray | None = None
 ) -> np.ndarray:
@@ -213,11 +349,29 @@ def _patch_product(
     The patch matrix is built and multiplied one block (see
     :func:`_blocks`) at a time in one reused buffer; each product is
     written straight into its columns of the result, and the bias is
-    added while they are still in cache.
+    added while they are still in cache.  A product of at least
+    ``2 * SPLIT_MACS`` multiply-adds is cut into up to ``WORKERS`` shares
+    of whole rows (:func:`_shares`): one runs on the calling thread and
+    the rest on the pool, each with its own buffer, and every share has
+    finished, or failed, before this returns or raises.
     """
     n, c, h, w = x.shape
     xp = _pad(x)
     blocks = _blocks(x, weight.nbytes)
+    count = min(WORKERS, weight.size * n * h * w // SPLIT_MACS)
+    if count > 1:
+        y = np.empty((weight.shape[0], n * h * w), dtype=np.result_type(weight, x))
+        first, *rest = _shares(blocks, h, count)
+        pool = _executor()
+        futures = [pool.submit(_fill, y, weight, xp, x.shape, share, bias) for share in rest]
+        try:
+            _fill(y, weight, xp, x.shape, first, bias)
+        finally:
+            for future in futures:
+                future.exception()  # waits for the share without raising
+        for future in futures:
+            future.result()
+        return y
     y = buf = None
     start = 0
     for i, block in enumerate(blocks):

@@ -262,6 +262,8 @@ def run_evaluation(
     Returns the metrics report, the per-image score table (probability
     of YES), and the predicted labels, all in manifest order.
     """
+    if not manifest.entries:
+        raise BadConfig("the evaluation manifest lists no images")
     model = load_model(cfg.architecture, cfg.input_size, checkpoint_path)
     base = load_base_images(manifest, cfg)
     x = _to_batch([img for img, _ in base])

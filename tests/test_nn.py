@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import os
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -39,7 +42,7 @@ from tumorkit.nn import (
     softmax,
     softmax_ce_loss,
 )
-from tumorkit.model import build_vgg_tiny, init_weights
+from tumorkit.model import build_vgg16, build_vgg_tiny, init_weights
 from tumorkit.rng import Rng
 
 
@@ -333,6 +336,182 @@ class TestBlockedPatchProduct:
         finally:
             tracemalloc.stop()
         assert peak < 3 * (x.nbytes + y.nbytes)
+
+
+def global_rows(block: tuple[int, int, int, int], h: int) -> range:
+    """Rows (image * h + row) of one block."""
+    n0, n1, r0, r1 = block
+    return range(n0 * h + r0, (n1 - 1) * h + r1)
+
+
+@pytest.fixture
+def submitted(monkeypatch):
+    """Record each share handed to the pool, then run it there."""
+    calls = []
+    pool = nn._executor()
+    submit = pool.submit
+
+    def spy(fn, *args):
+        calls.append(args[4])
+        return submit(fn, *args)
+
+    monkeypatch.setattr(pool, "submit", spy)
+    return calls
+
+
+def split_everything(monkeypatch, workers: int) -> None:
+    """Run every product on ``workers`` shares, however small."""
+    monkeypatch.setattr(nn, "WORKERS", workers)
+    monkeypatch.setattr(nn, "SPLIT_MACS", 1)
+
+
+class TestSplitProduct:
+    """A product cut into shares that run on several threads gives the
+    bytes of the one-shot product and of the product on one thread."""
+
+    @pytest.mark.parametrize("n, c, out_c, size, dtype", [
+        # vgg16 channel counts at reduced sizes
+        (1, 1, 64, 56, np.float32), (2, 64, 64, 32, np.float32), (1, 64, 128, 28, np.float32),
+        (1, 128, 128, 28, np.float32), (2, 128, 256, 14, np.float32),
+        (3, 256, 512, 14, np.float32), (1, 512, 512, 14, np.float32),
+        (1, 64, 64, 28, np.float64),
+        # the vgg_tiny@64 products
+        (16, 1, 8, 64, np.float32), (16, 8, 16, 32, np.float32), (16, 16, 32, 16, np.float32),
+        (7, 8, 16, 32, np.float32), (1, 16, 32, 16, np.float32),
+    ])
+    def test_split_forward_and_dx_keep_their_bytes(self, monkeypatch, submitted, n, c, out_c,
+                                                    size, dtype):
+        g = np.random.default_rng(90)
+        x = g.normal(size=(n, c, size, size)).astype(dtype)
+        layer = ConvLayer(weight=(g.normal(size=(out_c, c, 3, 3)) * 0.05).astype(dtype),
+                          bias=g.normal(size=(out_c,)).astype(dtype))
+        dy = g.normal(size=(n, out_c, size, size)).astype(dtype)
+        want = layer.weight.reshape(out_c, -1) @ sliced_columns(x)
+        want += layer.bias[:, None]
+        want = np.ascontiguousarray(want.reshape(out_c, n, size, size).transpose(1, 0, 2, 3))
+        w_flip = layer.weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+        want_dx = (w_flip @ sliced_columns(dy)).reshape(c, n, size, size).transpose(1, 0, 2, 3)
+        want_dx = np.ascontiguousarray(want_dx)
+        for workers in (1, 2, 3):
+            split_everything(monkeypatch, workers)
+            submitted.clear()
+            assert conv2d_forward(x, layer).tobytes() == want.tobytes()
+            assert len(submitted) == workers - 1
+            # with one input channel the dx weight is one row, which BLAS
+            # multiplies by a matrix-vector kernel that rounds by width; a
+            # network never takes the input gradient of its first layer
+            if c > 1:
+                assert conv2d_backward(x, layer, dy)[0].tobytes() == want_dx.tobytes()
+
+    def test_vgg16_predicts_the_same_bytes_on_two_workers(self, monkeypatch, submitted):
+        m = build_vgg16()
+        g = np.random.default_rng(91)
+        for param in m.parameters().values():
+            fan_in = np.prod(param.shape[1:]) if param.ndim > 1 else 1e4  # small biases
+            param[...] = g.standard_normal(param.shape, dtype=np.float32) * np.sqrt(2 / fan_in)
+        x = g.normal(size=(1, 1, 224, 224)).astype(np.float32)
+        monkeypatch.setattr(nn, "WORKERS", 1)
+        alone = m.forward(x, "eval")
+        assert submitted == []
+        monkeypatch.setattr(nn, "WORKERS", 2)
+        assert m.forward(x, "eval").tobytes() == alone.tobytes()
+        assert len(submitted) == 13  # every conv, the first at 28.9 M multiply-adds
+
+    @pytest.mark.parametrize("shape, budget", [
+        ((3, 4, 6, 7), 4 * 9 * 7 * 4 * 2),  # two-row blocks
+        ((2, 16, 42, 48), 16 * 9 * 48 * 4 * 5),  # five-row blocks, a short last one
+        ((1, 512, 28, 28), 512 * 9 * 28 * 4 * 18),  # blocks of 18 and 10 rows
+        ((1, 512, 14, 14), 2**24),  # one block
+        ((7, 8, 24, 24), 8 * 9 * 24 * 24 * 4 * 3),  # three images per block
+        ((64, 32, 14, 14), 32 * 9 * 14 * 14 * 4 * 4),  # four images per block
+        ((5, 2, 1, 1), 2 * 9 * 4 * 2),  # H = 1
+    ])
+    @pytest.mark.parametrize("count", [2, 3, 5])
+    def test_shares_are_near_even_runs_of_blocks(self, monkeypatch, shape, budget, count):
+        monkeypatch.setattr(nn, "BLOCK_BYTES", budget)
+        n, _, h, _ = shape
+        blocks = nn._blocks(np.zeros(shape, dtype=np.float32), 0)
+        shares = nn._shares(blocks, h, count)
+        rows = [[r for piece in share for r in global_rows(piece, h)] for share in shares]
+        assert [r for share in rows for r in share] == list(range(n * h))
+        share = n * h / count
+        assert 1 < len(shares) <= count
+        assert all(abs(len(r) - share) <= share / 2 + h for r in rows)
+        for piece in itertools.chain.from_iterable(shares):
+            n0, n1, r0, r1 = piece
+            assert n1 > n0 and r1 > r0
+            assert n1 - n0 == 1 or (r0, r1) == (0, h)  # whole images or rows of one image
+            [block] = [b for b in blocks if set(global_rows(piece, h)) <= set(global_rows(b, h))]
+            # a block is kept whole, or split into parts of at least an eighth of a share
+            assert piece == block or len(global_rows(piece, h)) >= share / 8 - 1
+
+    def test_small_products_stay_on_the_calling_thread(self, monkeypatch, submitted):
+        monkeypatch.setattr(nn, "WORKERS", 2)
+        g = np.random.default_rng(92)
+        layer = conv_layer(16, 8, g)
+        # an 18.9 M multiply-add product of a 16-image vgg_tiny@64 step
+        x = g.normal(size=(16, 8, 32, 32)).astype(np.float32)
+        conv2d_backward(x, layer, conv2d_forward(x, layer))
+        assert submitted == []
+        # 24 images take it past 2 * SPLIT_MACS
+        x = g.normal(size=(24, 8, 32, 32)).astype(np.float32)
+        conv2d_forward(x, layer)
+        assert len(submitted) == 1
+
+    @pytest.mark.parametrize("env, blas", [
+        ({}, "cores"),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1),
+        ({"OMP_NUM_THREADS": "1"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "cores", "OMP_NUM_THREADS": "1"}, "cores"),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "two", "OMP_NUM_THREADS": "1"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "1000"}, "cores"),
+    ])
+    def test_workers_are_the_cores_blas_leaves_idle(self, monkeypatch, submitted, env, blas):
+        cores = len(os.sched_getaffinity(0))
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, str(cores) if value == "cores" else value)
+        workers = nn._workers()
+        assert workers == cores // (cores if blas == "cores" else blas)
+        if blas == "cores":  # BLAS has every core: nothing is split
+            monkeypatch.setattr(nn, "WORKERS", workers)
+            g = np.random.default_rng(93)
+            conv2d_forward(g.normal(size=(1, 64, 112, 112)).astype(np.float32),
+                           conv_layer(64, 64, g))
+            assert submitted == []
+
+    def test_no_more_than_workers_minus_one_threads_start(self, monkeypatch):
+        monkeypatch.setattr(nn, "WORKERS", 2)
+        g = np.random.default_rng(94)
+        x = g.normal(size=(1, 64, 112, 112)).astype(np.float32)
+        layer = ConvLayer(weight=g.normal(size=(64, 64, 3, 3)).astype(np.float32),
+                          bias=np.zeros(64, dtype=np.float32))
+        before = threading.active_count()
+        for _ in range(4):
+            conv2d_backward(x, layer, conv2d_forward(x, layer))
+        assert threading.active_count() - before <= 1
+
+    @pytest.mark.parametrize("failing", ["caller", "worker"])
+    def test_a_failing_share_raises_after_every_share_has_ended(self, monkeypatch, failing):
+        split_everything(monkeypatch, 2)
+        patches = nn._patches
+        built = []
+
+        def flaky(xp, shape, block, out):
+            caller = threading.current_thread() is threading.main_thread()
+            if caller == (failing == "caller"):
+                raise RuntimeError(f"{failing} share")
+            time.sleep(0.2)  # still running when the failing share raises
+            built.append(block)
+            return patches(xp, shape, block, out)
+
+        monkeypatch.setattr(nn, "_patches", flaky)
+        g = np.random.default_rng(95)
+        with pytest.raises(RuntimeError, match=f"{failing} share"):
+            nn._patch_product(g.normal(size=(16, 72)), g.normal(size=(1, 8, 16, 16)))
+        assert built == [(0, 1, 8, 16) if failing == "caller" else (0, 1, 0, 8)]
 
 
 class TestMaxPool:

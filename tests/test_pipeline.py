@@ -741,6 +741,22 @@ class TestCliErrors:
         assert err.count("\n") == 1
         assert err.startswith("error: BadConfig: the train manifest lists no images")
 
+    def test_empty_test_manifest(self, trained, tmp_path, capsys):
+        result, train_m, val_m, *_ = trained
+        split_dir = tmp_path / "splits"
+        split_dir.mkdir()
+        for name, split in (("train.csv", train_m), ("val.csv", val_m)):
+            rows = "".join(f"{e.path},{e.label}\n" for e in split.entries)
+            (split_dir / name).write_text("path,label\n" + rows)
+        (split_dir / "test.csv").write_text("path,label\n")
+        config = write_config(tmp_path / "c.json", train=TINY)
+        argv = ["eval", "--config", config, "--out", str(tmp_path),
+                "--checkpoint", str(result.best_path)]
+        assert main(argv) == 1
+        err = stderr_error(capsys)
+        assert err.count("\n") == 1
+        assert err.startswith("error: BadConfig: the evaluation manifest lists no images")
+
     @pytest.mark.parametrize("which", ["manifest", "scores", "history"])
     def test_file_that_is_not_utf8(self, tmp_path, capsys, which):
         split_dir = tmp_path / "splits"
