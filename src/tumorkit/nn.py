@@ -43,8 +43,13 @@ A large product also uses the cores BLAS leaves idle.  ``WORKERS`` is
 the number of cores this process may use divided by the threads
 OpenBLAS starts with (``OPENBLAS_NUM_THREADS``, then
 ``OMP_NUM_THREADS``, else one per core), so with BLAS unpinned it is 1
-and every product runs as above, on the calling thread.  A product of
-at least ``2 * SPLIT_MACS`` multiply-adds is cut into
+and every product runs as above, on the calling thread.  OpenBLAS reads
+these variables once, when numpy is imported, and ``WORKERS`` is worked
+out from them once, when this module is imported: set them before
+importing numpy, and do not change them, or BLAS's thread count (say,
+with threadpoolctl), afterwards.  With a numpy built on another BLAS
+(MKL, Accelerate), ``WORKERS`` is 1.  A product of at least
+``2 * SPLIT_MACS`` multiply-adds is cut into
 ``min(WORKERS, multiply-adds // SPLIT_MACS)`` shares of whole rows: one
 runs on the calling thread and the others on a module thread pool of at
 most ``WORKERS - 1`` threads, while numpy's copies and BLAS release the
@@ -111,11 +116,23 @@ BLOCK_BYTES = 2**20
 SPLIT_MACS = 12 * 2**20
 
 
+def _blas() -> str:
+    """Name of the BLAS numpy was built against, or "" if numpy does not
+    say."""
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy < 1.26, or a build that lists no BLAS
+        return ""
+
+
 def _workers() -> int:
     """Threads a product may run on: the cores this process may use that
     BLAS leaves idle.  BLAS threads are what OpenBLAS reads when it loads,
     ``OPENBLAS_NUM_THREADS``, then ``OMP_NUM_THREADS``, else one per
-    core, so with BLAS unpinned this is 1."""
+    core, so with BLAS unpinned this is 1.  With any other BLAS, whose
+    threads these variables need not set, it is 1 as well."""
+    if "openblas" not in _blas().lower():
+        return 1
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # not on Linux
@@ -355,40 +372,20 @@ def _patch_product(
     the rest on the pool, each with its own buffer, and every share has
     finished, or failed, before this returns or raises.
     """
-    n, c, h, w = x.shape
+    n, _, h, w = x.shape
     xp = _pad(x)
     blocks = _blocks(x, weight.nbytes)
+    y = np.empty((weight.shape[0], n * h * w), dtype=np.result_type(weight, x))
     count = min(WORKERS, weight.size * n * h * w // SPLIT_MACS)
-    if count > 1:
-        y = np.empty((weight.shape[0], n * h * w), dtype=np.result_type(weight, x))
-        first, *rest = _shares(blocks, h, count)
-        pool = _executor()
-        futures = [pool.submit(_fill, y, weight, xp, x.shape, share, bias) for share in rest]
-        try:
-            _fill(y, weight, xp, x.shape, first, bias)
-        finally:
-            for future in futures:
-                future.exception()  # waits for the share without raising
+    first, *rest = _shares(blocks, h, count) if count > 1 else [blocks]
+    futures = [_executor().submit(_fill, y, weight, xp, x.shape, share, bias) for share in rest]
+    try:
+        _fill(y, weight, xp, x.shape, first, bias)
+    finally:
         for future in futures:
-            future.result()
-        return y
-    y = buf = None
-    start = 0
-    for i, block in enumerate(blocks):
-        n0, n1, r0, r1 = block
-        size = c * KERNEL * KERNEL * (n1 - n0) * (r1 - r0) * w
-        if buf is None:  # no later block is larger than the first
-            buf = np.empty(size, dtype=x.dtype)
-        cols = _patches(xp, x.shape, block, buf[:size])
-        if i == len(blocks) - 1:
-            del xp  # not read again: free it before a one-block result is made
-        if y is None:
-            y = np.empty((weight.shape[0], n * h * w), dtype=np.result_type(weight, x))
-        out = y[:, start : start + cols.shape[1]]
-        np.matmul(weight, cols, out=out)
-        if bias is not None:
-            out += bias[:, None]
-        start += cols.shape[1]
+            future.exception()  # waits for the share without raising
+    for future in futures:
+        future.result()
     return y
 
 

@@ -482,6 +482,14 @@ class TestSplitProduct:
                            conv_layer(64, 64, g))
             assert submitted == []
 
+    @pytest.mark.parametrize("blas", ["mkl", "accelerate", ""])
+    def test_other_blas_libraries_get_one_worker(self, monkeypatch, blas):
+        # these variables need not set the threads of any other BLAS
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.setattr(nn, "_blas", lambda: blas)
+        assert nn._workers() == 1
+
     def test_no_more_than_workers_minus_one_threads_start(self, monkeypatch):
         monkeypatch.setattr(nn, "WORKERS", 2)
         g = np.random.default_rng(94)
