@@ -33,7 +33,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .dataset import atomic_write
+from .dataset import atomic_write, reading
 from .errors import (
     BadMagic,
     BadVersion,
@@ -41,7 +41,6 @@ from .errors import (
     HeaderParse,
     ShapeMismatch,
     Truncated,
-    Unreadable,
 )
 from .model import Model, build_model
 
@@ -144,9 +143,10 @@ def _decode(stream, size: int, destination=_fresh) -> dict[str, np.ndarray]:
     ``destination(name, shape)`` gives the C-contiguous float32 array
     each payload is read into; it is called once per tensor, after the
     payload is known to fit in the file.  Check order: magic, version,
-    structure (Truncated on overrun, HeaderParse for a bad name or
-    trailing bytes), then the CRC trailer, so a clean cut raises
-    Truncated while a flipped payload byte raises ChecksumMismatch.
+    structure (Truncated on overrun, HeaderParse for a bad name, a shape
+    numpy cannot hold, or trailing bytes), then the CRC trailer, so a
+    clean cut raises Truncated while a flipped payload byte raises
+    ChecksumMismatch.
     """
     if size < len(MAGIC):
         raise Truncated(f"{size} bytes is too short for the magic marker")
@@ -167,7 +167,10 @@ def _decode(stream, size: int, destination=_fresh) -> dict[str, np.ndarray]:
             raise HeaderParse(f"duplicate tensor name {name!r}")
         shape = tuple(reader.u32() for _ in range(reader.u8()))
         reader.require(4 * math.prod(shape))
-        table[name] = destination(name, shape)
+        try:
+            table[name] = destination(name, shape)
+        except ValueError as exc:  # more dimensions, or elements, than numpy allows
+            raise HeaderParse(f"tensor {name!r} shape {shape}: {exc}") from None
         if table[name].size:  # a memoryview of an empty array cannot be cast to bytes
             reader.fill(memoryview(table[name]).cast("B"))
     if reader.pos != size - 4:
@@ -183,11 +186,8 @@ def _decode(stream, size: int, destination=_fresh) -> dict[str, np.ndarray]:
 
 def _decode_file(path: str | Path, destination=_fresh) -> dict[str, np.ndarray]:
     """:func:`_decode` the file at ``path``; a failed read is Unreadable."""
-    try:
-        with open(path, "rb") as stream:
-            return _decode(stream, os.fstat(stream.fileno()).st_size, destination)
-    except OSError as exc:
-        raise Unreadable(f"cannot read checkpoint {path}: {exc.strerror or exc}") from exc
+    with reading(path, "checkpoint") as stream:
+        return _decode(stream, os.fstat(stream.fileno()).st_size, destination)
 
 
 def parse_weights(data: bytes | bytearray | memoryview) -> dict[str, np.ndarray]:

@@ -28,6 +28,7 @@ from .dataset import (
     DatasetManifest,
     SplitConfig,
     atomic_write,
+    make_dir,
     read_manifest,
     scan_dataset,
     stratified_split,
@@ -109,7 +110,7 @@ def _do_split(data_dir: str, split_cfg: SplitConfig, out: Path) -> tuple[Dataset
     manifest = scan_dataset(data_dir)
     parts = stratified_split(manifest, split_cfg)
     split_dir = _split_dir(out)
-    split_dir.mkdir(parents=True, exist_ok=True)
+    make_dir(split_dir)
     for part, name in zip(parts, SPLIT_FILES):
         write_manifest(part, split_dir / name)
     return parts
@@ -138,7 +139,7 @@ def _cmd_preprocess(args, split_cfg: SplitConfig, train_cfg: TrainConfig) -> Non
     for entry in manifest.entries:
         processed = load_one_image(entry.path, train_cfg)
         dest = out / "preprocessed" / entry.label / Path(entry.path).name
-        dest.parent.mkdir(parents=True, exist_ok=True)
+        make_dir(dest.parent)
         with atomic_write(dest) as handle:
             handle.write(write_pgm(processed))
     print(f"preprocessed {len(manifest)} images into {out / 'preprocessed'}")
@@ -244,7 +245,9 @@ def main(argv: list[str] | None = None) -> int:
         split_cfg, train_cfg = load_configs(args.config, args.seed)
         _COMMANDS[args.command](args, split_cfg, train_cfg)
     except TumorkitError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        # one line, even if the message quotes a line break from a file
+        message = "\\n".join(str(exc).splitlines())
+        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 1
     return 0
 

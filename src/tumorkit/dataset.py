@@ -22,7 +22,8 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import BadConfig, ClassTooSmall, EmptyClass, MissingDir, Unreadable, check_field_types
+from .errors import BadConfig, ClassTooSmall, EmptyClass, MissingDir, Unreadable, Unwritable
+from .errors import check_field_types
 from .metrics import CLASSES, NO, YES
 from .rng import Rng, STREAM_SPLIT, mix_seed
 
@@ -166,20 +167,46 @@ def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
             writer.writerow([entry.path, entry.label])
 
 
+@contextlib.contextmanager
+def reading(path: str | Path, what: str, mode: str = "rb", **open_args):
+    """The file at ``path`` opened for reading, closed when the block ends.
+
+    A file that cannot be opened or read (missing, a directory, no
+    permission, a path holding a NUL byte), or whose text does not
+    decode, raises Unreadable naming ``what`` and the path.
+    """
+    def unreadable(exc: Exception) -> Unreadable:
+        return Unreadable(f"cannot read {what} {path}: {getattr(exc, 'strerror', None) or exc}")
+
+    try:
+        handle = open(path, mode, **open_args)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise unreadable(exc) from exc
+    with handle:
+        try:
+            yield handle
+        except (OSError, UnicodeDecodeError) as exc:
+            raise unreadable(exc) from exc
+
+
+def make_dir(path: str | Path) -> None:
+    """Make the directory ``path`` and any missing parents; one that
+    cannot be made (a file in its place, no permission) raises
+    Unwritable."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise Unwritable(f"cannot make directory {path}: {exc.strerror or exc}") from exc
+
+
 def read_csv(path: str | Path, what: str):
     """A csv reader over the text of the file at ``path``.
 
-    The file is read whole first, so a file that cannot be opened or
-    read, or whose bytes do not decode, raises Unreadable naming
-    ``what`` and the path before any row is parsed.
+    The file is read whole first (see :func:`reading`), so a file that
+    cannot be read fails before any row is parsed.
     """
-    try:
-        with open(path, newline="") as handle:
-            text = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        reason = getattr(exc, "strerror", None) or exc
-        raise Unreadable(f"cannot read {what} {path}: {reason}") from exc
-    return csv.reader(io.StringIO(text, newline=""))
+    with reading(path, what, "r", newline="") as handle:
+        return csv.reader(io.StringIO(handle.read(), newline=""))
 
 
 def read_manifest(path: str | Path) -> DatasetManifest:

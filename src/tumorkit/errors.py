@@ -44,6 +44,10 @@ class Unreadable(TumorkitError):
     """A file could not be opened or read (missing, a directory, no permission)."""
 
 
+class Unwritable(TumorkitError):
+    """An output directory could not be made (a file in its place, no permission)."""
+
+
 # --- preprocessing ---
 
 class NoForeground(TumorkitError):

@@ -50,18 +50,20 @@ importing numpy, and do not change them, or BLAS's thread count (say,
 with threadpoolctl), afterwards.  With a numpy built on another BLAS
 (MKL, Accelerate), ``WORKERS`` is 1.  A product of at least
 ``2 * SPLIT_MACS`` multiply-adds is cut into
-``min(WORKERS, multiply-adds // SPLIT_MACS)`` shares of whole rows: one
-runs on the calling thread and the others on a module thread pool of at
-most ``WORKERS - 1`` threads, while numpy's copies and BLAS release the
-GIL.  Each share builds its blocks in its own buffer and writes their
-products and bias into its own columns of the result, so a split
-product holds at most one more block buffer per extra worker.  The bits
-do not depend on the worker count: a share's blocks are the blocks of
-the one-thread path, except where a cut splits a block, and then each
-part holds at least an eighth of a share (at least ``SPLIT_MACS / 8``
-multiply-adds).  That bound matters: OpenBLAS 0.3.31 on an AVX-512 Xeon
-sends products of up to 10**6 multiply-adds to a small-matrix kernel,
-and one-column products to a matrix-vector kernel, either of which can
+``min(WORKERS, multiply-adds // SPLIT_MACS)`` shares, even runs of whole
+blocks, none of which then holds more than one share of the patches:
+one share runs on the calling thread and the others on a module thread
+pool of at most ``WORKERS - 1`` threads, while numpy's copies and BLAS
+release the GIL.  Each share builds its blocks in its own buffer and
+writes their products and bias into its own columns of the result, so
+a split product holds at most one more block buffer per extra worker.
+The bits do not depend on the worker count.  Split or not, a product
+has the blocks above unless its patches fit in fewer budgets than it
+has shares; only some vgg16 products do, and the smallest block the
+one-share cap gives them holds 14.5 M multiply-adds (the first layer's
+halves).  That matters: OpenBLAS 0.3.31 on an AVX-512 Xeon sends
+products of up to 10**6 multiply-adds to a small-matrix kernel, and
+one-column products to a matrix-vector kernel, either of which can
 round a column differently from a wider product.  Above that, every
 float32 column of a [64, 576] or [512, 4608] weight's product came out
 the same at every width from 2 to 700 columns, and split products
@@ -80,7 +82,6 @@ identity).
 
 from __future__ import annotations
 
-import bisect
 import os
 import threading
 from dataclasses import dataclass, field
@@ -278,64 +279,27 @@ def _columns(x: np.ndarray) -> np.ndarray:
     return _patches(_pad(x), x.shape, (0, n, 0, h), cols)
 
 
-def _blocks(x: np.ndarray, weight_bytes: int) -> list[tuple[int, int, int, int]]:
+def _blocks(
+    x: np.ndarray, weight_bytes: int, parts: int = 1
+) -> list[tuple[int, int, int, int]]:
     """(n0, n1, r0, r1) of each patch block of ``x``, in column order.
 
     Blocks hold at most ``max(BLOCK_BYTES, weight_bytes)`` of patches: a
     product's blocks are never smaller than its weight, which BLAS packs
-    again for every block.  A block is a run of whole images if one
+    again for every block.  They also hold at most one of ``parts`` even
+    shares of the patches, so a product split ``parts`` ways is that many
+    runs of whole blocks.  A block is a run of whole images if one
     image's patches fit, else a run of whole rows of one image (at least
     one row).
     """
     n, c, h, w = x.shape
-    budget = max(BLOCK_BYTES, weight_bytes)
     image_bytes = c * KERNEL * KERNEL * h * w * x.itemsize
+    budget = min(max(BLOCK_BYTES, weight_bytes), -(-n * image_bytes // parts))
     if image_bytes <= budget:
-        per = budget // max(image_bytes, 1)
+        per = max(1, budget // max(image_bytes, 1))
         return [(i, min(i + per, n), 0, h) for i in range(0, n, per)]
     per = max(1, budget // (image_bytes // h))
     return [(i, i + 1, r, min(r + per, h)) for i in range(n) for r in range(0, h, per)]
-
-
-def _shares(
-    blocks: list[tuple[int, int, int, int]], h: int, count: int
-) -> list[list[tuple[int, int, int, int]]]:
-    """``blocks`` of an input of height ``h`` cut into up to ``count`` runs
-    of whole rows (image * h + row, counted across the batch), the blocks
-    each run covers clipped to it.
-
-    Each cut starts at an even share of the rows.  Within a quarter of a
-    share of a block's first row it moves to the nearest such row;
-    otherwise it splits the block it falls in, at the nearest image
-    boundary if the block holds several images, else at that row.  So
-    each part of a split block holds at least an eighth of a share, never
-    a sliver that BLAS might round differently (see the module notes).
-    """
-    rows = blocks[-1][1] * h
-    starts = [n0 * h + r0 for n0, _, r0, _ in blocks] + [rows]
-    cuts = [0]
-    for k in range(1, count):
-        cut = rows * k // count
-        i = bisect.bisect_right(starts, cut) - 1
-        start = min(starts[i], starts[i + 1], key=lambda r: abs(r - cut))
-        n0, n1, _, _ = blocks[i]
-        if abs(start - cut) * 4 * count <= rows:
-            cut = start
-        elif n1 - n0 > 1:
-            cut = round(cut / h) * h
-        cuts.append(cut)
-    cuts.append(rows)
-    shares = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        share = []
-        for n0, n1, r0, r1 in blocks:
-            s, e = max(n0 * h + r0, lo), min((n1 - 1) * h + r1, hi)
-            if s < e:
-                share.append((n0, n1, s - n0 * h, e - n0 * h) if n1 - n0 == 1
-                             else (s // h, e // h, 0, h))
-        if share:
-            shares.append(share)
-    return shares
 
 
 def _fill(
@@ -367,17 +331,19 @@ def _patch_product(
     :func:`_blocks`) at a time in one reused buffer; each product is
     written straight into its columns of the result, and the bias is
     added while they are still in cache.  A product of at least
-    ``2 * SPLIT_MACS`` multiply-adds is cut into up to ``WORKERS`` shares
-    of whole rows (:func:`_shares`): one runs on the calling thread and
-    the rest on the pool, each with its own buffer, and every share has
-    finished, or failed, before this returns or raises.
+    ``2 * SPLIT_MACS`` multiply-adds is cut into up to ``WORKERS`` shares,
+    even runs of its blocks: one runs on the calling thread and the rest
+    on the pool, each with its own buffer, and every share has finished,
+    or failed, before this returns or raises.
     """
     n, _, h, w = x.shape
     xp = _pad(x)
-    blocks = _blocks(x, weight.nbytes)
+    parts = max(1, min(WORKERS, weight.size * n * h * w // SPLIT_MACS))
+    blocks = _blocks(x, weight.nbytes, parts)
     y = np.empty((weight.shape[0], n * h * w), dtype=np.result_type(weight, x))
-    count = min(WORKERS, weight.size * n * h * w // SPLIT_MACS)
-    first, *rest = _shares(blocks, h, count) if count > 1 else [blocks]
+    count = len(blocks)
+    shares = [blocks[count * k // parts : count * (k + 1) // parts] for k in range(parts)]
+    first, *rest = filter(None, shares)
     futures = [_executor().submit(_fill, y, weight, xp, x.shape, share, bias) for share in rest]
     try:
         _fill(y, weight, xp, x.shape, first, bias)

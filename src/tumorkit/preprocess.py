@@ -222,11 +222,11 @@ def resize_bilinear(img: GrayImage8, out_w: int, out_h: int) -> GrayImage8:
     return GrayImage8(rounded)
 
 
-def normalize_zscore(t: np.ndarray, degenerate_std: float = DEGENERATE_STD) -> np.ndarray:
+def normalize_zscore(t: np.ndarray) -> np.ndarray:
     """Subtract the mean and divide by the population std, per image.
 
-    A (near-)constant input maps to the all-zero tensor instead of blowing
-    up, so constant tiles cannot crash a batch job.
+    An input whose std is below ``DEGENERATE_STD`` maps to the all-zero
+    tensor instead of blowing up, so constant tiles cannot crash a batch job.
     """
     arr = np.asarray(t)
     if arr.size == 0:
@@ -234,7 +234,7 @@ def normalize_zscore(t: np.ndarray, degenerate_std: float = DEGENERATE_STD) -> n
     dtype = arr.dtype if np.issubdtype(arr.dtype, np.floating) else np.float32
     mean = float(arr.mean(dtype=np.float64))
     std = float(arr.std(dtype=np.float64))  # population (divide by N)
-    if std < degenerate_std:
+    if std < DEGENERATE_STD:
         return np.zeros(arr.shape, dtype=dtype)
     return ((arr.astype(np.float64) - mean) / std).astype(dtype)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .dataset import DatasetManifest, ManifestEntry, atomic_write, read_csv
+from .dataset import DatasetManifest, ManifestEntry, atomic_write, make_dir, read_csv
 from .errors import BadConfig, TumorkitError
 from .metrics import CLASSES, MetricsReport, ScoredSample
 
@@ -204,7 +204,7 @@ def emit_report(
 ) -> list[Path]:
     """Write every report file into ``out_dir`` and list what was written."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    make_dir(out)
     written = [out / name for name in
                ("metrics.csv", "confusion.csv", "roc.csv", "pr.csv", "history.csv", "roc.svg")]
     metrics, confusion, roc, pr, history_path, svg = written

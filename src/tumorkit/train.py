@@ -34,8 +34,8 @@ from .augment import augment_image, sample_params
 from .checkpoint import load_model, save_checkpoint, save_weights
 # unused here, but bench/tracing.py patches these names on this module
 from .checkpoint import apply_weights, dump_weights, load_checkpoint  # noqa: F401
-from .dataset import DatasetManifest
-from .errors import BadConfig, NonFiniteLoss, TumorkitError, Unreadable, check_field_types
+from .dataset import DatasetManifest, make_dir, reading
+from .errors import BadConfig, NonFiniteLoss, TumorkitError, check_field_types
 from .metrics import CLASSES, MetricsReport, ScoredSample, evaluate_scores, label_from_score
 from .model import FREEZE_POLICIES, Model, apply_freeze_policy, build_model, init_weights
 from .nn import AdamState, adam_step, softmax, softmax_ce_loss
@@ -105,10 +105,8 @@ class TrainResult:
 def load_one_image(path: str | Path, cfg: TrainConfig) -> GrayImage8:
     """Read one PGM and run the 8-bit crop/resize stage, tagging errors
     with the offending path."""
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise Unreadable(f"cannot read image {path}: {exc.strerror or exc}") from exc
+    with reading(path, "image") as handle:
+        data = handle.read()
     try:
         img = read_pgm(data)
         return crop_and_resize(img, cfg.input_size)
@@ -170,7 +168,7 @@ def run_training(
         raise BadConfig("the train manifest lists no images")
     out = Path(out_dir)
     ckpt_dir = out / "checkpoints"
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
+    make_dir(ckpt_dir)
 
     if cfg.init_checkpoint is not None:
         model = load_model(cfg.architecture, cfg.input_size, cfg.init_checkpoint)

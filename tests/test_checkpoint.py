@@ -162,6 +162,18 @@ class TestParseErrors:
         with pytest.raises(HeaderParse):
             parse_weights(blob)
 
+    @pytest.mark.parametrize("shape", [(0,) + (1,) * 64, (0, 2**32 - 1, 2**32 - 1, 2**32 - 1)],
+                             ids=["65-dims", "too-many-elements"])
+    def test_empty_tensor_numpy_cannot_hold(self, tmp_path, shape):
+        # no payload, so the file is complete, but numpy refuses the shape
+        tensor = (struct.pack("<H", 1) + b"w" + struct.pack("<B", len(shape))
+                  + struct.pack(f"<{len(shape)}I", *shape))
+        path = tmp_path / "w.nnck"
+        path.write_bytes(framed(tensor))
+        for load in (lambda: parse_weights(framed(tensor)), lambda: load_checkpoint(path)):
+            with pytest.raises(HeaderParse, match="tensor 'w' shape"):
+                load()
+
     def test_any_single_byte_flip_raises_a_parse_error(self):
         # no corruption may slip through as a successful parse
         blob = dump_weights({"w": np.ones((2, 2), dtype=np.float32)})

@@ -173,8 +173,8 @@ def blocks_used(monkeypatch):
     calls = []
     blocks = nn._blocks
 
-    def spy(x, weight_bytes):
-        calls.append((x, weight_bytes, blocks(x, weight_bytes)))
+    def spy(x, weight_bytes, *parts):
+        calls.append((x, weight_bytes, blocks(x, weight_bytes, *parts)))
         return calls[-1][2]
 
     monkeypatch.setattr(nn, "_blocks", spy)
@@ -307,8 +307,10 @@ class TestBlockedPatchProduct:
             assert all(patch_bytes(x, b) <= nn.BLOCK_BYTES for b in blocks)
         assert any(len(blocks) > 1 for _, _, blocks in blocks_used)
 
-    def test_deep_layer_blocks_are_the_size_of_the_weight(self, blocks_used):
-        # 512->512@28: a 9 MiB weight, 14 MiB of patches, 504 KiB per row
+    def test_deep_layer_blocks_are_the_size_of_the_weight(self, monkeypatch, blocks_used):
+        # 512->512@28: a 9 MiB weight, 14 MiB of patches, 504 KiB per row;
+        # on one thread, since a split product caps its blocks at one share
+        monkeypatch.setattr(nn, "WORKERS", 1)
         g = np.random.default_rng(71)
         x = g.normal(size=(1, 512, 28, 28)).astype(np.float32)
         layer = ConvLayer(weight=g.normal(size=(512, 512, 3, 3)).astype(np.float32),
@@ -426,24 +428,30 @@ class TestSplitProduct:
         ((64, 32, 14, 14), 32 * 9 * 14 * 14 * 4 * 4),  # four images per block
         ((5, 2, 1, 1), 2 * 9 * 4 * 2),  # H = 1
     ])
-    @pytest.mark.parametrize("count", [2, 3, 5])
-    def test_shares_are_near_even_runs_of_blocks(self, monkeypatch, shape, budget, count):
+    @pytest.mark.parametrize("parts", [2, 3, 5])
+    def test_blocks_fit_in_one_of_parts_shares(self, monkeypatch, shape, budget, parts):
         monkeypatch.setattr(nn, "BLOCK_BYTES", budget)
         n, _, h, _ = shape
-        blocks = nn._blocks(np.zeros(shape, dtype=np.float32), 0)
-        shares = nn._shares(blocks, h, count)
-        rows = [[r for piece in share for r in global_rows(piece, h)] for share in shares]
-        assert [r for share in rows for r in share] == list(range(n * h))
-        share = n * h / count
-        assert 1 < len(shares) <= count
-        assert all(abs(len(r) - share) <= share / 2 + h for r in rows)
-        for piece in itertools.chain.from_iterable(shares):
-            n0, n1, r0, r1 = piece
+        x = np.zeros(shape, dtype=np.float32)
+        blocks = nn._blocks(x, 0, parts)
+        # the even runs of blocks a split product hands out cover every row once
+        count = len(blocks)
+        runs = [blocks[count * k // parts : count * (k + 1) // parts] for k in range(parts)]
+        assert [r for run in runs for b in run for r in global_rows(b, h)] == list(range(n * h))
+        cap = -(-patch_bytes(x, (0, n, 0, h)) // parts)
+        for n0, n1, r0, r1 in blocks:
             assert n1 > n0 and r1 > r0
             assert n1 - n0 == 1 or (r0, r1) == (0, h)  # whole images or rows of one image
-            [block] = [b for b in blocks if set(global_rows(piece, h)) <= set(global_rows(b, h))]
-            # a block is kept whole, or split into parts of at least an eighth of a share
-            assert piece == block or len(global_rows(piece, h)) >= share / 8 - 1
+            assert patch_bytes(x, (n0, n1, r0, r1)) <= min(budget, cap)
+        # one part: the blocks the budget alone gives, as full as it allows
+        image, row = patch_bytes(x, (0, 1, 0, h)), patch_bytes(x, (0, 1, 0, 1))
+        if image <= budget:
+            per = budget // image
+            want = [(i, min(i + per, n), 0, h) for i in range(0, n, per)]
+        else:
+            per = max(1, budget // row)
+            want = [(i, i + 1, r, min(r + per, h)) for i in range(n) for r in range(0, h, per)]
+        assert nn._blocks(x, 0, 1) == nn._blocks(x, 0) == want
 
     def test_small_products_stay_on_the_calling_thread(self, monkeypatch, submitted):
         monkeypatch.setattr(nn, "WORKERS", 2)

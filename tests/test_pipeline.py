@@ -4,17 +4,23 @@ Everything here runs the tiny architecture on small synthetic datasets
 so the whole module stays in the seconds range.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import re
+import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from tumorkit import checkpoint
+from tumorkit import checkpoint, errors
 from tumorkit.checkpoint import parse_weights
 from tumorkit.cli import SPLIT_FILES, build_parser, main
 from tumorkit.dataset import DatasetManifest, SplitConfig, read_manifest, stratified_split
@@ -326,6 +332,77 @@ def cli_run(blob_data, tmp_path_factory):
         assert main(argv) == 0
     return config, out
 
+
+# each hostile input: a file of a copy of the cli_run directory, and the
+# command that reads it there
+HOSTILE_INPUTS = {
+    "manifest": ("run/splits/test.csv", ["eval"]),
+    "scores": ("run/scores.csv", ["report"]),
+    "history": ("run/history.csv", ["report"]),
+    "config": ("config.json", ["train"]),
+    "pgm": ("image.pgm", ["predict", "image.pgm"]),
+    "checkpoint": ("run/checkpoints/best.nnck", ["predict", "image.pgm"]),
+}
+
+
+def mutated(data: bytes, kind: str, at: int, chunk: bytes) -> bytes:
+    """``data`` with ``chunk`` xor-ed onto it, inserted, or the rest cut,
+    at offset ``at`` modulo ``len(data) + 1`` (so -1 is the end)."""
+    at %= len(data) + 1
+    if kind == "flip":
+        head, tail = data[:at], data[at : at + len(chunk)]
+        flipped = bytes(a ^ (b or 1) for a, b in zip(tail, chunk))
+        return head + flipped + data[at + len(flipped) :]
+    if kind == "insert":
+        return data[:at] + chunk + data[at:]
+    return data[:at]
+
+
+class TestHostileInput:
+    """A byte-flipped, cut or padded input file makes its command succeed
+    or fail with one error line naming a package error; nothing escapes."""
+
+    @pytest.fixture(scope="class")
+    def hostile_base(self, cli_run, blob_data, tmp_path_factory):
+        """cli_run's config and run directory, plus an image to predict,
+        and a config that also names an init checkpoint."""
+        config, out = cli_run
+        _, manifest = blob_data
+        base = tmp_path_factory.mktemp("hostile")
+        shutil.copytree(out, base / "run")
+        shutil.copy(manifest.entries[0].path, base / "image.pgm")
+        init = str(out / "checkpoints" / "best.nnck")
+        write_config(base / "config.json", train=dict(TINY, epochs=1, init_checkpoint=init))
+        return base
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        target=st.sampled_from(sorted(HOSTILE_INPUTS)),
+        kind=st.sampled_from(["flip", "insert", "cut"]),
+        at=st.integers(),
+        chunk=st.binary(min_size=1, max_size=4),
+    )
+    # a NUL byte after the last manifest path (",yes\r\n" ends the file), and
+    # a JSON-escaped one in the init checkpoint path ('"}}' ends the config)
+    @example(target="manifest", kind="insert", at=-7, chunk=b"\x00")
+    @example(target="config", kind="insert", at=-4, chunk=b"\\u0000x")
+    def test_one_error_line_or_success(self, hostile_base, target, kind, at, chunk):
+        name, command = HOSTILE_INPUTS[target]
+        with tempfile.TemporaryDirectory() as tmp:
+            base = Path(tmp) / "base"
+            shutil.copytree(hostile_base, base)
+            path = base / name
+            path.write_bytes(mutated(path.read_bytes(), kind, at, chunk))
+            argv = [command[0], "--config", str(base / "config.json"),
+                    "--out", str(base / "run"), *(str(base / a) for a in command[1:])]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1)
+        if code == 1:
+            match = re.fullmatch(r"error: (\w+): [^\n]*\n", err.getvalue())
+            assert match, err.getvalue()
+            assert issubclass(getattr(errors, match[1]), errors.TumorkitError)
 
 class TestCliChain:
     def test_split_writes_three_manifests(self, cli_run):
@@ -774,6 +851,63 @@ class TestCliErrors:
         err = stderr_error(capsys)
         assert err.count("\n") == 1
         assert err.startswith(f"error: Unreadable: cannot read {which} {bad}: 'utf-8' codec")
+
+    def test_nul_byte_in_a_manifest_path(self, trained, tmp_path, capsys):
+        result, train_m, val_m, test_m, _ = trained
+        split_dir = tmp_path / "splits"
+        split_dir.mkdir()
+        for name, split in zip(SPLIT_FILES, (train_m, val_m, test_m)):
+            rows = "".join(f"{e.path},{e.label}\n" for e in split.entries)
+            (split_dir / name).write_text("path,label\n" + rows)
+        bad = test_m.entries[0].path + "\x00"
+        (split_dir / "test.csv").write_text(f"path,label\n{bad},{test_m.entries[0].label}\n")
+        config = write_config(tmp_path / "c.json", train=TINY)
+        argv = ["eval", "--config", config, "--out", str(tmp_path),
+                "--checkpoint", str(result.best_path)]
+        assert main(argv) == 1
+        err = stderr_error(capsys)
+        assert err.count("\n") == 1
+        assert err == f"error: Unreadable: cannot read image {bad}: embedded null byte\n"
+
+    def test_nul_byte_in_the_init_checkpoint_path(self, blob_data, trained, tmp_path, capsys):
+        root, _ = blob_data
+        result, *_ = trained
+        bad = f"{result.best_path}\x00x"
+        config = write_config(tmp_path / "c.json", train=dict(TINY, init_checkpoint=bad))
+        argv = ["train", "--config", config, "--data-dir", str(root), "--out", str(tmp_path)]
+        assert main(argv) == 1
+        err = stderr_error(capsys)
+        assert err.count("\n") == 1
+        assert err == f"error: Unreadable: cannot read checkpoint {bad}: embedded null byte\n"
+
+    @pytest.mark.parametrize("command, made", [
+        ("split", "splits"), ("preprocess", "preprocessed/no"), ("train", "splits"),
+    ])
+    def test_out_that_is_a_file(self, blob_data, tmp_path, capsys, monkeypatch, command, made):
+        root, _ = blob_data
+
+        def must_not_run(*args):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr("tumorkit.cli.run_training", must_not_run)
+        out = tmp_path / "afile"
+        out.write_text("")
+        assert main([command, "--data-dir", str(root), "--out", str(out)]) == 1
+        err = stderr_error(capsys)
+        assert err == (f"error: Unwritable: cannot make directory {out / made}: "
+                       "Not a directory\n")
+        assert out.read_text() == ""
+
+    def test_a_line_break_in_a_message_stays_on_one_line(self, tmp_path, capsys):
+        split_dir = tmp_path / "splits"
+        split_dir.mkdir()
+        for name in SPLIT_FILES:
+            (split_dir / name).write_text('path,label\n"ghost\n.pgm",yes\n')
+        config = write_config(tmp_path / "c.json", train=TINY)
+        assert main(["train", "--config", config, "--out", str(tmp_path)]) == 1
+        err = stderr_error(capsys)
+        assert err == ("error: Unreadable: cannot read image ghost\\n.pgm: "
+                       "No such file or directory\n")
 
     def test_missing_data_dir_is_reported(self, tmp_path, capsys):
         assert main(["split", "--data-dir", str(tmp_path / "ghost"),
