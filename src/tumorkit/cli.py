@@ -35,7 +35,7 @@ from .dataset import (
     write_manifest,
 )
 from .errors import BadConfig, TumorkitError, field_types
-from .metrics import evaluate_scores
+from .metrics import MetricsReport, evaluate_scores
 from .pgm import write_pgm
 from .report import (
     emit_report,
@@ -164,6 +164,15 @@ def _cmd_train(args, split_cfg: SplitConfig, train_cfg: TrainConfig) -> None:
     )
 
 
+def _report(report: MetricsReport, out: Path, summary: str) -> None:
+    """Write ``out/report`` from ``report`` and the run's history, if it
+    has one, and print ``summary`` followed by the report directory."""
+    history_path = out / "history.csv"
+    history = read_history_csv(history_path) if history_path.is_file() else []
+    emit_report(report, history, out / "report")
+    print(f"{summary} {out / 'report'}")
+
+
 def _cmd_eval(args, split_cfg: SplitConfig, train_cfg: TrainConfig) -> None:
     out = Path(_require(args.out, "--out"))
     checkpoint = args.checkpoint or out / "checkpoints" / BEST_CHECKPOINT
@@ -172,14 +181,8 @@ def _cmd_eval(args, split_cfg: SplitConfig, train_cfg: TrainConfig) -> None:
     _, _, test_m = _read_splits(out)
     report, samples, predictions = run_evaluation(checkpoint, test_m, train_cfg)
     write_scores_csv(test_m, samples, predictions, out / "scores.csv")
-    history_path = out / "history.csv"
-    history = read_history_csv(history_path) if history_path.is_file() else []
-    emit_report(report, history, out / "report")
-    print(
-        f"evaluated {len(test_m)} images: accuracy "
-        f"{'undefined' if report.accuracy is None else f'{report.accuracy:.4f}'}; "
-        f"report in {out / 'report'}"
-    )
+    accuracy = "undefined" if report.accuracy is None else f"{report.accuracy:.4f}"
+    _report(report, out, f"evaluated {len(test_m)} images: accuracy {accuracy}; report in")
 
 
 def _cmd_predict(args, split_cfg: SplitConfig, train_cfg: TrainConfig) -> None:
@@ -196,11 +199,7 @@ def _cmd_report(args, split_cfg: SplitConfig, train_cfg: TrainConfig) -> None:
     if not scores_path.is_file():
         raise BadConfig(f"{scores_path} not found; run eval first")
     _, samples, predictions = read_scores_csv(scores_path)
-    report = evaluate_scores(samples, predictions)
-    history_path = out / "history.csv"
-    history = read_history_csv(history_path) if history_path.is_file() else []
-    emit_report(report, history, out / "report")
-    print(f"report regenerated in {out / 'report'}")
+    _report(evaluate_scores(samples, predictions), out, "report regenerated in")
 
 
 _COMMANDS = {

@@ -22,12 +22,13 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import BadConfig, ClassTooSmall, EmptyClass, MissingDir, Unreadable, Unwritable
-from .errors import check_field_types
+from .errors import BadConfig, ClassTooSmall, EmptyClass, MissingDir, TumorkitError
+from .errors import Unreadable, Unwritable, check_field_types
 from .metrics import CLASSES, NO, YES
 from .rng import Rng, STREAM_SPLIT, mix_seed
 
 IMAGE_SUFFIX = ".pgm"
+MANIFEST_HEADER = ["path", "label"]
 MIN_CLASS_SIZE = 3
 
 
@@ -146,6 +147,8 @@ def atomic_write(path: str | Path, mode: str = "wb", **open_args):
 
     If the block raises, the temporary file is removed and whatever was
     at ``path`` is left as it was, so a reader never sees half a file.
+    An ``OSError`` from opening, writing or renaming (say, a directory
+    in the way, or a full disk) raises Unwritable naming ``path``.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -153,18 +156,26 @@ def atomic_write(path: str | Path, mode: str = "wb", **open_args):
         with open(tmp, mode, **open_args) as handle:
             yield handle
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):  # absent, or in a directory that is not one
+            tmp.unlink()
+        if isinstance(exc, OSError):
+            raise Unwritable(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
+
+
+def write_table(path: str | Path, header: list[str], rows) -> None:
+    """Write ``header`` and then each row of ``rows`` to ``path`` as CSV
+    (see :func:`atomic_write`)."""
+    with atomic_write(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
     """Write the manifest as a two-column CSV with a header row."""
-    with atomic_write(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["path", "label"])
-        for entry in manifest.entries:
-            writer.writerow([entry.path, entry.label])
+    write_table(path, MANIFEST_HEADER, ([e.path, e.label] for e in manifest.entries))
 
 
 @contextlib.contextmanager
@@ -199,28 +210,35 @@ def make_dir(path: str | Path) -> None:
         raise Unwritable(f"cannot make directory {path}: {exc.strerror or exc}") from exc
 
 
-def read_csv(path: str | Path, what: str):
-    """A csv reader over the text of the file at ``path``.
+def read_table(path: str | Path, what: str, header: list[str], parse) -> list:
+    """``parse(*fields)`` for each row after the ``header`` row of the CSV
+    file at ``path``, which is read whole first (see :func:`reading`).
 
-    The file is read whole first (see :func:`reading`), so a file that
-    cannot be read fails before any row is parsed.
+    A wrong header raises BadConfig naming ``path``; so does a row that
+    is not CSV, has other than ``len(header)`` fields, repeats an earlier
+    row's first field, or that ``parse`` rejects with ValueError or a
+    package error, and then the message begins ``path:line:``.
     """
     with reading(path, what, "r", newline="") as handle:
-        return csv.reader(io.StringIO(handle.read(), newline=""))
+        reader = csv.reader(io.StringIO(handle.read(), newline=""))
+    out = []
+    seen = set()
+    try:
+        found = next(reader, None)
+        for fields in reader if found == header else ():  # a wrong header is raised below
+            if len(fields) != len(header):
+                raise ValueError(f"expected {len(header)} fields, got {len(fields)}")
+            if fields[0] in seen:
+                raise ValueError(f"duplicate {header[0]} {fields[0]!r}")
+            seen.add(fields[0])
+            out.append(parse(*fields))
+    except (ValueError, csv.Error, TumorkitError) as exc:
+        raise BadConfig(f"{path}:{reader.line_num}: {exc}") from None
+    if found != header:
+        raise BadConfig(f"{path}: not a {what} CSV; expected the header {','.join(header)}")
+    return out
 
 
 def read_manifest(path: str | Path) -> DatasetManifest:
     """Read a manifest CSV written by :func:`write_manifest`."""
-    rows = list(read_csv(path, "manifest"))
-    if not rows or rows[0] != ["path", "label"]:
-        raise BadConfig(f"{path} is not a manifest CSV (missing path,label header)")
-    entries = []
-    seen = set()
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != 2 or row[1] not in CLASSES:
-            raise BadConfig(f"{path} line {i}: expected path,{'|'.join(CLASSES)}")
-        if row[0] in seen:
-            raise BadConfig(f"{path} line {i}: duplicate path {row[0]!r}")
-        seen.add(row[0])
-        entries.append(ManifestEntry(row[0], row[1]))
-    return DatasetManifest(entries)
+    return DatasetManifest(read_table(path, "manifest", MANIFEST_HEADER, ManifestEntry))

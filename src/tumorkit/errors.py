@@ -45,7 +45,8 @@ class Unreadable(TumorkitError):
 
 
 class Unwritable(TumorkitError):
-    """An output directory could not be made (a file in its place, no permission)."""
+    """An output file or directory could not be written (something in its
+    place, no permission, a full disk)."""
 
 
 # --- preprocessing ---

@@ -207,18 +207,23 @@ def pr_curve(samples: Sequence[ScoredSample]) -> list[tuple[float, float, float]
     return points
 
 
+def _step_area(curve: Sequence[tuple[float, float, float]]) -> float:
+    """Area under the (threshold, precision, recall) step function."""
+    ap = 0.0
+    prev_recall = 0.0
+    for _, precision, recall in curve:
+        ap += (recall - prev_recall) * precision
+        prev_recall = recall
+    return ap
+
+
 def average_precision(samples: Sequence[ScoredSample]) -> float:
     """Area under the precision-recall step function.
 
     Sums precision at each distinct threshold weighted by the recall
     gained there (no smoothing or interpolation between steps).
     """
-    ap = 0.0
-    prev_recall = 0.0
-    for _, precision, recall in pr_curve(samples):
-        ap += (recall - prev_recall) * precision
-        prev_recall = recall
-    return ap
+    return _step_area(pr_curve(samples))
 
 
 def normalized_confusion(
@@ -262,7 +267,7 @@ def evaluate_scores(
         roc = roc_curve(samples)
         area = auc(roc)
         pr = pr_curve(samples)
-        ap = average_precision(samples)
+        ap = _step_area(pr)
     except OneClassOnly:
         roc = area = pr = ap = None
     try:

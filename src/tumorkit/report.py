@@ -11,13 +11,11 @@ curve files for a one-class run contain only their header row.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .dataset import DatasetManifest, ManifestEntry, atomic_write, make_dir, read_csv
-from .errors import BadConfig, TumorkitError
+from .dataset import DatasetManifest, ManifestEntry, atomic_write, make_dir, read_table, write_table
 from .metrics import CLASSES, MetricsReport, ScoredSample
 
 UNDEFINED = "undefined"
@@ -25,6 +23,9 @@ UNDEFINED = "undefined"
 _SVG_SIZE = 320
 _SVG_MARGIN = 20
 _SVG_SPAN = _SVG_SIZE - 2 * _SVG_MARGIN
+
+SCORES_HEADER = ["path", "label", "score", "prediction"]
+HISTORY_HEADER = ["epoch", "train_loss", "train_acc", "val_loss", "val_acc"]
 
 
 @dataclass(frozen=True)
@@ -47,13 +48,6 @@ def _full(value: float | None) -> str:
     return "" if value is None else repr(float(value))
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    with atomic_write(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def write_metrics_csv(report: MetricsReport, path: Path) -> None:
     rows = [
         ["accuracy", _fixed(report.accuracy)],
@@ -64,7 +58,7 @@ def write_metrics_csv(report: MetricsReport, path: Path) -> None:
         ["auc", _fixed(report.auc)],
         ["average_precision", _fixed(report.average_precision)],
     ]
-    _write_csv(path, ["metric", "value"], rows)
+    write_table(path, ["metric", "value"], rows)
 
 
 def write_confusion_csv(report: MetricsReport, path: Path) -> None:
@@ -81,19 +75,19 @@ def write_confusion_csv(report: MetricsReport, path: Path) -> None:
         [name, str(count), UNDEFINED if rate is None else _full(rate)]
         for name, count, rate in cells
     ]
-    _write_csv(path, ["cell", "count", "normalized"], rows)
+    write_table(path, ["cell", "count", "normalized"], rows)
 
 
 def write_roc_csv(report: MetricsReport, path: Path) -> None:
     points = report.roc_points or []
     rows = [[_full(t), _full(fpr), _full(tpr)] for t, fpr, tpr in points]
-    _write_csv(path, ["threshold", "fpr", "tpr"], rows)
+    write_table(path, ["threshold", "fpr", "tpr"], rows)
 
 
 def write_pr_csv(report: MetricsReport, path: Path) -> None:
     points = report.pr_points or []
     rows = [[_full(t), _full(p), _full(r)] for t, p, r in points]
-    _write_csv(path, ["threshold", "precision", "recall"], rows)
+    write_table(path, ["threshold", "precision", "recall"], rows)
 
 
 def write_history_csv(history: Sequence[EpochStats], path: Path) -> None:
@@ -101,7 +95,7 @@ def write_history_csv(history: Sequence[EpochStats], path: Path) -> None:
         [str(s.epoch), _full(s.train_loss), _full(s.train_acc), _full(s.val_loss), _full(s.val_acc)]
         for s in history
     ]
-    _write_csv(path, ["epoch", "train_loss", "train_acc", "val_loss", "val_acc"], rows)
+    write_table(path, HISTORY_HEADER, rows)
 
 
 def write_scores_csv(
@@ -115,62 +109,37 @@ def write_scores_csv(
         [entry.path, entry.label, _full(sample.score), predicted]
         for entry, sample, predicted in zip(manifest.entries, samples, predictions)
     ]
-    _write_csv(path, ["path", "label", "score", "prediction"], rows)
+    write_table(path, SCORES_HEADER, rows)
+
+
+def _score_row(image: str, label: str, score: str, predicted: str):
+    if predicted not in CLASSES:
+        raise ValueError(f"prediction must be one of {CLASSES}, got {predicted!r}")
+    return ManifestEntry(image, label), ScoredSample(label, float(score)), predicted
 
 
 def read_scores_csv(path: str | Path):
     """Parse a scores.csv back into (manifest, samples, predictions).
 
-    A malformed row raises BadConfig naming ``path:line``.
+    A malformed row raises BadConfig naming ``path:line`` (see
+    :func:`~tumorkit.dataset.read_table`).
     """
-    entries, samples, predictions = [], [], []
-    reader = read_csv(path, "scores")
-    if next(reader, None) != ["path", "label", "score", "prediction"]:
-        raise BadConfig(f"{path} is not a scores CSV")
-    for row in reader:
-        try:
-            if len(row) != 4:
-                raise ValueError(f"expected 4 fields, got {len(row)}")
-            image, label, score, predicted = row
-            if predicted not in CLASSES:
-                raise ValueError(f"prediction must be one of {CLASSES}, got {predicted!r}")
-            entries.append(ManifestEntry(image, label))
-            samples.append(ScoredSample(label, float(score)))
-        except (ValueError, TumorkitError) as exc:
-            raise BadConfig(f"{path}:{reader.line_num}: {exc}") from None
-        predictions.append(predicted)
-    try:
-        return DatasetManifest(entries), samples, predictions
-    except ValueError as exc:
-        raise BadConfig(f"{path}: {exc}") from None
+    rows = read_table(path, "scores", SCORES_HEADER, _score_row)
+    return DatasetManifest([r[0] for r in rows]), [r[1] for r in rows], [r[2] for r in rows]
+
+
+def _history_row(epoch: str, train_loss: str, train_acc: str, val_loss: str, val_acc: str):
+    val = [float(v) if v else None for v in (val_loss, val_acc)]
+    return EpochStats(int(epoch), float(train_loss), float(train_acc), *val, seconds=0.0)
 
 
 def read_history_csv(path: str | Path) -> list[EpochStats]:
     """Parse a history.csv back into epoch stats (timings not stored).
 
-    A malformed row raises BadConfig naming ``path:line``.
+    A malformed row or a repeated epoch raises BadConfig naming
+    ``path:line`` (see :func:`~tumorkit.dataset.read_table`).
     """
-    out = []
-    reader = read_csv(path, "history")
-    if next(reader, None) != ["epoch", "train_loss", "train_acc", "val_loss", "val_acc"]:
-        raise BadConfig(f"{path} is not a history CSV")
-    for row in reader:
-        try:
-            if len(row) != 5:
-                raise ValueError(f"expected 5 fields, got {len(row)}")
-            out.append(
-                EpochStats(
-                    epoch=int(row[0]),
-                    train_loss=float(row[1]),
-                    train_acc=float(row[2]),
-                    val_loss=float(row[3]) if row[3] else None,
-                    val_acc=float(row[4]) if row[4] else None,
-                    seconds=0.0,
-                )
-            )
-        except ValueError as exc:
-            raise BadConfig(f"{path}:{reader.line_num}: {exc}") from None
-    return out
+    return read_table(path, "history", HISTORY_HEADER, _history_row)
 
 
 def roc_svg(report: MetricsReport) -> str:

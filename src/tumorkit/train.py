@@ -283,5 +283,4 @@ def predict_single(
     x = _to_batch([load_one_image(image_path, cfg)])
     probs = model.forward(x, "eval")
     p_yes = float(probs[0, 1])
-    label = CLASSES[int(np.argmax(probs[0]))]
-    return label, p_yes
+    return label_from_score(p_yes), p_yes

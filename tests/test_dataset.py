@@ -1,21 +1,28 @@
 """Directory scanning, the seeded floor-rule split, manifest CSV files."""
 
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tumorkit
 from tumorkit.dataset import (
     DatasetManifest,
     ManifestEntry,
     SplitConfig,
     read_manifest,
+    read_table,
     scan_dataset,
     stratified_split,
     write_manifest,
+    write_table,
 )
-from tumorkit.errors import BadConfig, ClassTooSmall, EmptyClass, MissingDir
+from tumorkit.errors import BadConfig, ClassTooSmall, EmptyClass, MissingDir, Unwritable
 from tumorkit.metrics import NO, YES
 from tumorkit.pgm import GrayImage8, write_pgm
 
@@ -213,6 +220,41 @@ class TestManifestFiles:
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["train.csv"]
 
+    def test_target_that_is_a_directory(self, tmp_path):
+        path = tmp_path / "train.csv"
+        path.mkdir()
+        with pytest.raises(Unwritable, match=re.escape(f"cannot write {path}: Is a directory")):
+            write_manifest(fake_manifest(2, 2), path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["train.csv"]
+
+    def test_a_kill_mid_write_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "train.csv"
+        write_manifest(fake_manifest(2, 2), path)
+        before = path.read_bytes()
+        writer = (
+            "import sys, time\n"
+            "from tumorkit.dataset import atomic_write\n"
+            "with atomic_write(sys.argv[1], 'w') as handle:\n"
+            "    handle.write('path,label\\nhalf')\n"
+            "    handle.flush()\n"
+            "    print('mid-write', flush=True)\n"
+            "    time.sleep(60)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(tumorkit.__file__).parents[1])}
+        with subprocess.Popen([sys.executable, "-c", writer, str(path)], env=env,
+                              stdout=subprocess.PIPE, text=True) as child:
+            try:
+                said = child.stdout.readline()
+            finally:
+                child.kill()
+        assert said == "mid-write\n"
+        assert path.read_bytes() == before
+        # the killed writer's temporary file stays, but is never the output
+        left = [p.name for p in tmp_path.iterdir() if p != path]
+        assert left == [f".train.csv.{child.pid}.tmp"]
+        write_manifest(fake_manifest(3, 3), path)
+        assert read_manifest(path).entries == fake_manifest(3, 3).entries
+
     def test_duplicate_paths_rejected(self):
         with pytest.raises(ValueError):
             DatasetManifest([ManifestEntry("a.pgm", YES), ManifestEntry("a.pgm", NO)])
@@ -220,3 +262,17 @@ class TestManifestFiles:
     def test_entry_label_validated(self):
         with pytest.raises(ValueError):
             ManifestEntry("a.pgm", "unknown")
+
+
+class TestTables:
+    def test_round_trip_keeps_quoted_fields(self, tmp_path):
+        path = tmp_path / "t.csv"
+        rows = [["a,b", 'say "hi"'], ["line\nbreak", ""]]
+        write_table(path, ["key", "value"], rows)
+        assert read_table(path, "test", ["key", "value"], lambda *f: list(f)) == rows
+
+    def test_a_field_over_the_csv_size_limit_names_its_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("key,value\r\na,1\r\nb," + "9" * 200_000 + "\r\n")
+        with pytest.raises(BadConfig, match=re.escape(f"{path}:3: field larger than")):
+            read_table(path, "test", ["key", "value"], lambda *f: f)

@@ -352,3 +352,17 @@ class TestEvaluateScores:
             assert report.accuracy == (cm.tp + cm.tn) / 40
             if report.auc is not None:
                 assert 0.0 <= report.auc <= 1.0
+
+    def test_builds_the_pr_curve_once_with_the_same_area(self, monkeypatch):
+        g = np.random.default_rng(232)
+        samples = random_samples(g, 40, tie_prone=True)
+        calls = []
+
+        def counted(s):
+            calls.append(1)
+            return pr_curve(s)
+
+        monkeypatch.setattr("tumorkit.metrics.pr_curve", counted)
+        report = evaluate_scores(samples)
+        assert len(calls) == 1
+        assert report.average_precision == average_precision(samples)  # bit equal

@@ -286,6 +286,18 @@ class TestPredictSingle:
             assert label == (YES if p_yes > 0.5 else NO)
         assert predict_single(result.best_path, image, tiny_cfg()) == (label, p_yes)
 
+    def test_label_follows_the_eval_rule(self, blob_data, monkeypatch):
+        """A row whose argmax is YES but whose YES score is not above 0.5
+        is labelled as eval labels it: NO."""
+        class Stub:
+            def forward(self, x, mode):
+                return np.array([[0.4999999, 0.5]])
+
+        monkeypatch.setattr("tumorkit.train.load_model", lambda *args: Stub())
+        _, manifest = blob_data
+        label, p_yes = predict_single("unused.nnck", manifest.entries[0].path, tiny_cfg())
+        assert (label, p_yes) == (label_from_score(0.5), 0.5) == (NO, 0.5)
+
     def test_blank_image_reports_the_path(self, trained, tmp_path):
         result, *_ = trained
         path = black_pgm(tmp_path / "blank.pgm")
@@ -386,6 +398,11 @@ class TestHostileInput:
     # a JSON-escaped one in the init checkpoint path ('"}}' ends the config)
     @example(target="manifest", kind="insert", at=-7, chunk=b"\x00")
     @example(target="config", kind="insert", at=-4, chunk=b"\\u0000x")
+    # scores.csv cut to its 29-byte header, an empty history.csv, and a
+    # manifest header with a flipped byte
+    @example(target="scores", kind="cut", at=29, chunk=b"\x00")
+    @example(target="history", kind="cut", at=0, chunk=b"\x00")
+    @example(target="manifest", kind="flip", at=2, chunk=b"\x01")
     def test_one_error_line_or_success(self, hostile_base, target, kind, at, chunk):
         name, command = HOSTILE_INPUTS[target]
         with tempfile.TemporaryDirectory() as tmp:
@@ -748,7 +765,66 @@ class TestCliErrors:
         assert main(["train", "--out", str(tmp_path)]) == 1
         err = stderr_error(capsys)
         assert err.count("\n") == 1
-        assert err.startswith(f"error: BadConfig: {split_dir / 'train.csv'} line 3: duplicate path")
+        assert err.startswith(f"error: BadConfig: {split_dir / 'train.csv'}:3: duplicate path")
+
+    @pytest.mark.parametrize("which", ["manifest", "scores", "history"])
+    @pytest.mark.parametrize(
+        "fault", ["wrong-header", "short-row", "long-row", "bad-field", "repeated-key"]
+    )
+    def test_malformed_table(self, tmp_path, capsys, which, fault):
+        """One BadConfig line naming the file, and the row's line for a
+        fault in a row, whichever table the command reads."""
+        header, good, bad, unparsed = {
+            "manifest": ("path,label", "a.pgm,yes", "b.pgm,maybe", "label must be one of"),
+            "scores": ("path,label,score,prediction", "a.pgm,yes,0.75,yes", "b.pgm,no,abc,no",
+                       "could not convert string to float: 'abc'"),
+            "history": ("epoch,train_loss,train_acc,val_loss,val_acc", "1,0.7,0.5,,",
+                        "2,x,0.5,,", "could not convert string to float: 'x'"),
+        }[which]
+        n = header.count(",") + 1
+        key_name, key = header.split(",")[0], good.split(",")[0]
+        rows, line, problem = {
+            "wrong-header": ([header + "s", good], None,
+                             f"not a {which} CSV; expected the header {header}"),
+            "short-row": ([header, good.rsplit(",", 1)[0]], 2, f"expected {n} fields, got {n - 1}"),
+            "long-row": ([header, good + ",x"], 2, f"expected {n} fields, got {n + 1}"),
+            "bad-field": ([header, good, bad], 3, unparsed),
+            "repeated-key": ([header, good, good], 3, f"duplicate {key_name} {key!r}"),
+        }[fault]
+        text = "".join(row + "\r\n" for row in rows)
+        split_dir = tmp_path / "splits"
+        split_dir.mkdir()
+        for name in SPLIT_FILES:
+            (split_dir / name).write_text(text if which == "manifest" else "")
+        scores = tmp_path / "scores.csv"
+        scores.write_text(
+            "path,label,score,prediction\r\na.pgm,yes,0.75,yes\r\nb.pgm,no,0.25,no\r\n"
+        )
+        path = {"manifest": split_dir / "train.csv", "scores": scores,
+                "history": tmp_path / "history.csv"}[which]
+        path.write_text(text)
+        assert main(["train" if which == "manifest" else "report", "--out", str(tmp_path)]) == 1
+        err = stderr_error(capsys)
+        assert err.count("\n") == 1
+        where = f"{path}" if line is None else f"{path}:{line}"
+        assert err.startswith(f"error: BadConfig: {where}: {problem}")
+        assert not list(tmp_path.glob("report"))
+
+    @pytest.mark.parametrize("target, command", [
+        ("scores.csv", "eval"), ("history.csv", "train"),
+        ("report/metrics.csv", "eval"), ("checkpoints/final.nnck", "train"),
+    ])
+    def test_output_that_is_a_directory(self, cli_run, tmp_path, capsys, target, command):
+        config, out = cli_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        (run / target).unlink()
+        (run / target).mkdir()
+        assert main([command, "--config", config, "--out", str(run)]) == 1
+        assert stderr_error(capsys) == (
+            f"error: Unwritable: cannot write {run / target}: Is a directory\n"
+        )
+        assert list(run.rglob("*.tmp")) == []
 
     @pytest.mark.parametrize(
         "row, problem",
