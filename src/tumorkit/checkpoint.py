@@ -46,7 +46,6 @@ from .model import Model, build_model
 
 MAGIC = b"NNCK"
 VERSION = 1
-EXTENSION = ".nnck"
 
 
 def _write_weights(table: Mapping[str, np.ndarray], write) -> None:

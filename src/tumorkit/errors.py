@@ -1,9 +1,13 @@
 """Exception types shared across the package.
 
-Every failure raised by this package derives from :class:`TumorkitError`,
-so callers (and the CLI) can catch one type and report the concrete class
-name as a machine-parsable error code.  The config dataclasses share one
-field-type rule, :func:`check_field_types`, which raises :class:`BadConfig`.
+A fault in an input file or a config raises a :class:`TumorkitError`
+subclass, so callers (and the CLI) can catch one type and report the
+concrete class name as a machine-parsable error code.  A library call
+given an out-of-domain argument (an unknown architecture, a zero output
+size) raises ``ValueError``; :func:`~tumorkit.dataset.read_table` maps
+the ones a table row can reach to :class:`BadConfig`.  The config
+dataclasses share one field-type rule, :func:`check_field_types`, which
+raises :class:`BadConfig`.
 """
 
 from __future__ import annotations

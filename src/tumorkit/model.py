@@ -35,6 +35,7 @@ from .rng import Rng
 FREEZE_NONE = "none"
 FREEZE_FEATURES = "freeze_features"
 FREEZE_POLICIES = (FREEZE_NONE, FREEZE_FEATURES)
+DROPOUT_P = 0.3  # every dropout node's, in both builders
 
 
 @dataclass(frozen=True)
@@ -43,13 +44,11 @@ class LayerSpec:
 
     ``kind`` is one of conv, relu, maxpool, gap, dense, dropout,
     softmax.  ``name`` is set only for parameterized kinds (conv,
-    dense) and keys the layer in ``Model.layers``; ``p`` is the dropout
-    probability.
+    dense) and keys the layer in ``Model.layers``.
     """
 
     kind: str
     name: str | None = None
-    p: float | None = None
 
 
 class Model:
@@ -86,16 +85,6 @@ class Model:
             table[f"{name}.bias"] = layer.bias
         return table
 
-    def param_count(self) -> int:
-        return sum(layer.weight.size + layer.bias.size for layer in self.layers.values())
-
-    def trainable_param_count(self) -> int:
-        return sum(
-            layer.weight.size + layer.bias.size
-            for layer in self.layers.values()
-            if not layer.frozen
-        )
-
     def _check_input(self, batch: np.ndarray) -> None:
         if batch.ndim != 4:
             raise ShapeMismatch(f"batch must be [N, C, H, W], got {batch.shape}")
@@ -123,21 +112,21 @@ class Model:
     def _node(self, spec: LayerSpec, h: np.ndarray, mode: str, rng: Rng | None, traced: bool):
         """Run one node; return (output, the cache its backward needs).
 
-        Max-pool routing is only worked out for a ``traced`` node, since
-        only a backward pass reads it.
+        The cache holds only what the backward reads; a ReLU's sign mask
+        and max-pool routing are only worked out for a ``traced`` node.
         """
         kind = spec.kind
         if kind == "conv":
             return nn.conv2d_forward(h, self.layers[spec.name]), h
         if kind == "relu":
-            return nn.relu(h), h
+            out = nn.relu(h)
+            return out, (out > 0 if traced else None)
         if kind == "maxpool":
             return nn.maxpool2(h, routing=traced)
         if kind == "gap":
-            return nn.global_avg_pool(h), h.shape
+            return nn.global_avg_pool(h), h.shape[2:]
         if kind == "dropout":
-            out, mask = nn.dropout(h, spec.p, mode, rng)
-            return out, (mask, spec.p)
+            return nn.dropout(h, DROPOUT_P, mode, rng)
         if kind == "dense":
             return nn.dense_forward(h, self.layers[spec.name]), h
         raise ValueError(f"unknown layer kind {kind!r}")
@@ -215,9 +204,9 @@ class Model:
             elif kind == "maxpool":
                 d = nn.maxpool2_backward(cache, d)
             elif kind == "gap":
-                d = nn.gap_backward(d, cache[2], cache[3])
+                d = nn.gap_backward(d, *cache)
             elif kind == "dropout":
-                d = nn.dropout_backward(d, cache[0], cache[1])
+                d = nn.dropout_backward(d, cache, DROPOUT_P)
             else:
                 layer = self.layers[name]
                 conv = kind == "conv"
@@ -264,7 +253,7 @@ def _assemble(
         )
         ch = width
         if i <= len(head_widths):
-            specs += [LayerSpec("dropout", p=0.3), LayerSpec("dense", name), LayerSpec("relu")]
+            specs += [LayerSpec("dropout"), LayerSpec("dense", name), LayerSpec("relu")]
     specs += [LayerSpec("dense", name), LayerSpec("softmax")]  # the classifier
     return Model(specs, layers, input_size, arch)
 

@@ -458,10 +458,12 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def relu_backward(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """Pass dy where x > 0; the subgradient at exactly 0 is taken as 0."""
+    """Pass dy where x > 0; the subgradient at exactly 0 is taken as 0.
+    ``x`` is the forward input or its traced mask ``relu(x) > 0``, used
+    as is, since comparing a bool array with 0 widens it first."""
     if x.shape != dy.shape:
         raise ShapeMismatch(f"x shape {x.shape} vs dy {dy.shape}")
-    return dy * (x > 0)
+    return dy * (x if x.dtype == np.bool_ else x > 0)
 
 
 def dense_forward(x: np.ndarray, layer: DenseLayer) -> np.ndarray:
@@ -545,14 +547,17 @@ def softmax_ce_loss(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.
     return loss, dlogits
 
 
+# Adam's fixed decay rates and guard, Kingma & Ba's defaults (ICLR 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """Adam moments and step counter, keyed by parameter name."""
 
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -580,10 +585,10 @@ def adam_step(
             m = state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
         v = state.v[name]
-        m *= state.beta1
-        m += (1 - state.beta1) * g
-        v *= state.beta2
-        v += (1 - state.beta2) * np.square(g)
-        m_hat = m / (1 - state.beta1**t)
-        v_hat = v / (1 - state.beta2**t)
-        p -= (state.lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(p.dtype, copy=False)
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1 - ADAM_BETA2) * np.square(g)
+        m_hat = m / (1 - ADAM_BETA1**t)
+        v_hat = v / (1 - ADAM_BETA2**t)
+        p -= (state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.dtype, copy=False)

@@ -119,6 +119,6 @@ def write_pgm(img: GrayImage8) -> bytes:
     return header + img.pixels.tobytes()
 
 
-def image_to_tensor(img: GrayImage8, dtype=np.float32) -> np.ndarray:
-    """Copy intensities into a [1, height, width] float tensor, unscaled."""
-    return img.pixels.astype(dtype)[np.newaxis, :, :]
+def image_to_tensor(img: GrayImage8) -> np.ndarray:
+    """Copy intensities into a [1, height, width] float32 tensor, unscaled."""
+    return img.pixels.astype(np.float32)[np.newaxis, :, :]

@@ -83,25 +83,19 @@ class CropBox:
         return self.bottom - self.top + 1
 
 
-def threshold(img: GrayImage8, t: int = DEFAULT_THRESHOLD) -> BinaryMask:
-    """Foreground wherever ``pixel > t`` (strictly)."""
-    if not 0 <= t <= 255:
-        raise ValueError(f"threshold {t} out of [0, 255]")
-    return BinaryMask(img.pixels > t)
+def threshold(img: GrayImage8) -> BinaryMask:
+    """Foreground wherever ``pixel > DEFAULT_THRESHOLD`` (strictly)."""
+    return BinaryMask(img.pixels > DEFAULT_THRESHOLD)
 
 
-def _window_reduce(mask: BinaryMask, iterations: int, combine) -> BinaryMask:
-    """Combine (``&`` or ``|``) every 3x3 window, ``iterations`` times.
+def _window_reduce(mask: BinaryMask, combine) -> BinaryMask:
+    """Combine (``&`` or ``|``) every 3x3 window, ``DEFAULT_MORPH_ITERS`` times.
 
     ``k`` passes of a 3x3 window are one (2k+1)-wide window when pixels
     outside the image are background (van Herk, Pattern Recognit. Lett.
     1992), so the mask is padded by ``k`` once and reduced along rows,
     then along columns."""
-    if iterations < 0:
-        raise ValueError("iterations must be >= 0")
-    if iterations == 0:
-        return mask
-    k = iterations
+    k = DEFAULT_MORPH_ITERS
     h, w = mask.bits.shape
     padded = np.zeros((h + 2 * k, w + 2 * k), dtype=bool)
     padded[k:-k, k:-k] = mask.bits
@@ -114,14 +108,14 @@ def _window_reduce(mask: BinaryMask, iterations: int, combine) -> BinaryMask:
     return BinaryMask(bits)
 
 
-def erode(mask: BinaryMask, iterations: int = 1) -> BinaryMask:
-    """Erode with a fixed 3x3 square element, ``iterations`` times."""
-    return _window_reduce(mask, iterations, operator.and_)
+def erode(mask: BinaryMask) -> BinaryMask:
+    """Erode with a 3x3 square element, ``DEFAULT_MORPH_ITERS`` times."""
+    return _window_reduce(mask, operator.and_)
 
 
-def dilate(mask: BinaryMask, iterations: int = 1) -> BinaryMask:
-    """Dilate with a fixed 3x3 square element, ``iterations`` times."""
-    return _window_reduce(mask, iterations, operator.or_)
+def dilate(mask: BinaryMask) -> BinaryMask:
+    """Dilate with a 3x3 square element, ``DEFAULT_MORPH_ITERS`` times."""
+    return _window_reduce(mask, operator.or_)
 
 
 def largest_component(mask: BinaryMask) -> CropBox:
@@ -241,8 +235,7 @@ def normalize_zscore(t: np.ndarray) -> np.ndarray:
 
 def compute_crop_box(img: GrayImage8) -> CropBox:
     """Crop box after threshold, opening, and largest-component selection."""
-    mask = threshold(img, DEFAULT_THRESHOLD)
-    return largest_component(dilate(erode(mask, DEFAULT_MORPH_ITERS), DEFAULT_MORPH_ITERS))
+    return largest_component(dilate(erode(threshold(img))))
 
 
 def crop_and_resize(img: GrayImage8, out_size: int = DEFAULT_SIZE) -> GrayImage8:

@@ -129,8 +129,12 @@ def read_scores_csv(path: str | Path):
 
 
 def _history_row(epoch: str, train_loss: str, train_acc: str, val_loss: str, val_acc: str):
+    # one spelling per epoch, the writer's, so no two rows name the same one
+    number = int(epoch)
+    if str(number) != epoch:
+        raise ValueError(f"epoch {epoch!r} is not written as a plain integer")
     val = [float(v) if v else None for v in (val_loss, val_acc)]
-    return EpochStats(int(epoch), float(train_loss), float(train_acc), *val, seconds=0.0)
+    return EpochStats(number, float(train_loss), float(train_acc), *val, seconds=0.0)
 
 
 def read_history_csv(path: str | Path) -> list[EpochStats]:

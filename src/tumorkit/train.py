@@ -190,7 +190,7 @@ def run_training(
     history: list[EpochStats] = []
     val_trunk: list[np.ndarray] | None = None
     best_acc: float | None = None
-    best_updated: dict[str, np.ndarray] | None = None  # the updated tensors at best_acc
+    best_updated: dict[str, np.ndarray] = {}  # the updated tensors at best_acc
     for epoch in range(1, cfg.epochs + 1):
         started = time.perf_counter()
         order = list(range(len(train_base)))
@@ -244,11 +244,9 @@ def run_training(
 
     final_path = ckpt_dir / FINAL_CHECKPOINT
     save_checkpoint(model, final_path)
+    # without a validation set best_updated stays empty: best is final
     best_path = ckpt_dir / BEST_CHECKPOINT
-    if best_updated is not None:
-        save_weights({name: best_updated.get(name, t) for name, t in params.items()}, best_path)
-    else:
-        save_checkpoint(model, best_path)
+    save_weights({name: best_updated.get(name, t) for name, t in params.items()}, best_path)
     return TrainResult(best_path, final_path, best_acc, history)
 
 

@@ -38,6 +38,14 @@ def conv_layers(model):
     return [layer for layer in model.layers.values() if isinstance(layer, ConvLayer)]
 
 
+def param_count(model, trainable_only=False):
+    """Elements of ``model.parameters()``, or of its trainable layers' only."""
+    return sum(
+        tensor.size for name, tensor in model.parameters().items()
+        if not (trainable_only and model.layers[name.rsplit(".", 1)[0]].frozen)
+    )
+
+
 def kinds(model):
     return [s.kind for s in model.specs]
 
@@ -71,7 +79,7 @@ class TestVgg16Structure:
 
     def test_parameter_counts(self):
         m = build_vgg16()
-        total = m.param_count()
+        total = param_count(m)
         conv_total = sum(
             layer.weight.size + layer.bias.size for layer in conv_layers(m)
         )
@@ -112,7 +120,7 @@ class TestVggTinyStructure:
             + (2 * 32 + 2)
         )
         assert by_hand == TINY_PARAMS
-        assert m.param_count() == TINY_PARAMS
+        assert param_count(m) == TINY_PARAMS
 
     def test_every_block_pools(self):
         m = build_vgg_tiny()
@@ -166,13 +174,13 @@ class TestFreezePolicy:
         m = apply_freeze_policy(build_vgg16(), FREEZE_FEATURES)
         frozen = [name for name, layer in m.layers.items() if layer.frozen]
         assert frozen == [f"conv{i}" for i in range(1, 14)]
-        assert m.trainable_param_count() == VGG16_HEAD_PARAMS
+        assert param_count(m, trainable_only=True) == VGG16_HEAD_PARAMS
 
     def test_none_thaws_everything(self):
         m = apply_freeze_policy(build_vgg16(), FREEZE_FEATURES)
         apply_freeze_policy(m, FREEZE_NONE)
         assert not any(layer.frozen for layer in m.layers.values())
-        assert m.trainable_param_count() == m.param_count()
+        assert param_count(m, trainable_only=True) == param_count(m)
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
@@ -289,6 +297,30 @@ class TestBackward:
         grads = m.backward(trace, dlogits)
         assert grads["conv1.weight"].any()
         assert grads["dense2.bias"].any()
+
+
+class TestTrace:
+    def test_entries_hold_only_what_backward_reads(self):
+        # a 16-image vgg_tiny@64 training step; with each ReLU's float
+        # input in place of its mask the trace would hold 4.95 MB
+        m = init_weights(build_vgg_tiny(input_size=64), Rng(8))
+        x = np.random.default_rng(171).normal(size=(16, 1, 64, 64)).astype(np.float32)
+        _, trace = m.forward_logits(x, "train", Rng(9))
+        relus = 0
+        for (kind, _, mask), (before, name, node_input) in zip(trace[1:], trace):
+            if kind == "relu":
+                node = nn.conv2d_forward if before == "conv" else nn.dense_forward
+                want = node(node_input, m.layers[name]) > 0
+                assert mask.dtype == np.bool_ and mask.shape == want.shape
+                assert np.array_equal(mask, want)
+                relus += 1
+        assert relus == 4
+        arrays = {
+            id(a): a.nbytes for _, _, cache in trace
+            for a in (cache if isinstance(cache, tuple) else (cache,))
+            if isinstance(a, np.ndarray)
+        }
+        assert sum(arrays.values()) <= 2.3e6
 
 
 class TestFrozenTrunk:

@@ -214,10 +214,6 @@ class TestImageToTensor:
         img = make([[255]])
         assert image_to_tensor(img)[0, 0, 0] == 255.0
 
-    def test_dtype_override(self):
-        img = make([[3]])
-        assert image_to_tensor(img, dtype=np.float64).dtype == np.float64
-
 
 class TestGrayImage8:
     def test_validation(self):

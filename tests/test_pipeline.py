@@ -9,8 +9,12 @@ import hashlib
 import io
 import json
 import math
+import os
+import random
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -20,14 +24,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tumorkit
 from tumorkit import checkpoint, errors
-from tumorkit.checkpoint import parse_weights
+from tumorkit.checkpoint import load_model, parse_weights
 from tumorkit.cli import SPLIT_FILES, build_parser, main
 from tumorkit.dataset import DatasetManifest, SplitConfig, read_manifest, stratified_split
 from tumorkit.errors import BadConfig, NoForeground
 from tumorkit.metrics import CLASSES, NO, YES, label_from_score
 from tumorkit.model import Model
 from tumorkit.pgm import GrayImage8, write_pgm
+from tumorkit.report import read_history_csv
 from tumorkit.train import (
     TrainConfig,
     load_one_image,
@@ -370,6 +376,19 @@ def mutated(data: bytes, kind: str, at: int, chunk: bytes) -> bytes:
     return data[:at]
 
 
+def one_error_line_or_success(argv: list[str]) -> None:
+    """Run the CLI on ``argv``: it must exit 0, or exit 1 after one
+    ``error:`` line naming a package error."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1)
+    if code == 1:
+        match = re.fullmatch(r"error: (\w+): [^\n]*\n", err.getvalue())
+        assert match, err.getvalue()
+        assert issubclass(getattr(errors, match[1]), errors.TumorkitError)
+
+
 class TestHostileInput:
     """A byte-flipped, cut or padded input file makes its command succeed
     or fail with one error line naming a package error; nothing escapes."""
@@ -403,6 +422,16 @@ class TestHostileInput:
     @example(target="scores", kind="cut", at=29, chunk=b"\x00")
     @example(target="history", kind="cut", at=0, chunk=b"\x00")
     @example(target="manifest", kind="flip", at=2, chunk=b"\x01")
+    # best.nnck cut to nothing, cut inside conv1.weight's payload (bytes
+    # 43-330), and with a flipped byte there
+    @example(target="checkpoint", kind="cut", at=0, chunk=b"\x00")
+    @example(target="checkpoint", kind="cut", at=200, chunk=b"\x00")
+    @example(target="checkpoint", kind="flip", at=200, chunk=b"\x01")
+    # the image's header "P5\n64 64\n255\n" made to claim 60000x60000
+    # pixels, maxval 0 ("255" xor-ed to "000") and maxval 65535
+    @example(target="pgm", kind="insert", at=3, chunk=b"60000 60000\n255\n")
+    @example(target="pgm", kind="flip", at=9, chunk=b"\x02\x05\x05")
+    @example(target="pgm", kind="insert", at=9, chunk=b"65535\n")
     def test_one_error_line_or_success(self, hostile_base, target, kind, at, chunk):
         name, command = HOSTILE_INPUTS[target]
         with tempfile.TemporaryDirectory() as tmp:
@@ -410,16 +439,38 @@ class TestHostileInput:
             shutil.copytree(hostile_base, base)
             path = base / name
             path.write_bytes(mutated(path.read_bytes(), kind, at, chunk))
-            argv = [command[0], "--config", str(base / "config.json"),
-                    "--out", str(base / "run"), *(str(base / a) for a in command[1:])]
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main(argv)
-        assert code in (0, 1)
-        if code == 1:
-            match = re.fullmatch(r"error: (\w+): [^\n]*\n", err.getvalue())
-            assert match, err.getvalue()
-            assert issubclass(getattr(errors, match[1]), errors.TumorkitError)
+            one_error_line_or_success(
+                [command[0], "--config", str(base / "config.json"),
+                 "--out", str(base / "run"), *(str(base / a) for a in command[1:])]
+            )
+
+    @pytest.mark.parametrize("case", [
+        "nan-score", "minus-inf-score", "above-one-score", "unknown-label",
+        "blank-image", "one-pixel-image", "vgg16-config-on-a-tiny-checkpoint",
+    ])
+    def test_input_that_mutation_cannot_make(self, hostile_base, tmp_path, case):
+        base = tmp_path / "base"
+        shutil.copytree(hostile_base, base)
+        config, scores, image = base / "config.json", base / "run" / "scores.csv", base / "image.pgm"
+        command = ["predict", str(image)]
+        if case.endswith(("-score", "-label")):
+            header, first, *rest = scores.read_text().splitlines()
+            path, label, score, prediction = first.split(",")
+            label, score = {"nan-score": (label, "nan"), "minus-inf-score": (label, "-inf"),
+                            "above-one-score": (label, "1.5"), "unknown-label": ("maybe", score)}[case]
+            rows = [header, ",".join([path, label, score, prediction]), *rest]
+            scores.write_text("".join(row + "\r\n" for row in rows))
+            command = ["report"]
+        elif case == "blank-image":
+            black_pgm(image)
+        elif case == "one-pixel-image":
+            image.write_bytes(write_pgm(GrayImage8(np.full((1, 1), 255, dtype=np.uint8))))
+        else:
+            write_config(config, train=dict(TINY, architecture="vgg16", input_size=224))
+        one_error_line_or_success(
+            [command[0], "--config", str(config), "--out", str(base / "run"), *command[1:]]
+        )
+
 
 class TestCliChain:
     def test_split_writes_three_manifests(self, cli_run):
@@ -540,6 +591,16 @@ class TestParser:
         # eval saw no --checkpoint, and the unseeded split no --seed
         assert together[1][:2] == (1, "") and "not found" in together[1][2]
         assert together[2][3] != together[3][3]
+
+
+# every row fault in every table the CLI reads, then epoch spellings that
+# int() takes but history.csv's writer never writes ("1_0" is ten)
+EPOCH_SPELLINGS = {"zero-padded": "01", "plus-sign": "+1", "leading-space": " 2",
+                   "underscore": "1_0"}
+TABLE_FAULTS = [
+    (which, fault) for which in ("manifest", "scores", "history")
+    for fault in ("wrong-header", "short-row", "long-row", "bad-field", "repeated-key")
+] + [("history", f"epoch-{name}") for name in EPOCH_SPELLINGS]
 
 
 def stderr_error(capsys):
@@ -767,9 +828,8 @@ class TestCliErrors:
         assert err.count("\n") == 1
         assert err.startswith(f"error: BadConfig: {split_dir / 'train.csv'}:3: duplicate path")
 
-    @pytest.mark.parametrize("which", ["manifest", "scores", "history"])
     @pytest.mark.parametrize(
-        "fault", ["wrong-header", "short-row", "long-row", "bad-field", "repeated-key"]
+        "which, fault", TABLE_FAULTS, ids=[f"{fault}-{which}" for which, fault in TABLE_FAULTS]
     )
     def test_malformed_table(self, tmp_path, capsys, which, fault):
         """One BadConfig line naming the file, and the row's line for a
@@ -790,6 +850,9 @@ class TestCliErrors:
             "long-row": ([header, good + ",x"], 2, f"expected {n} fields, got {n + 1}"),
             "bad-field": ([header, good, bad], 3, unparsed),
             "repeated-key": ([header, good, good], 3, f"duplicate {key_name} {key!r}"),
+            **{f"epoch-{name}": ([header, good, f"{epoch},0.7,0.5,,"], 3,
+                                 f"epoch {epoch!r} is not written as a plain integer")
+               for name, epoch in EPOCH_SPELLINGS.items()},
         }[fault]
         text = "".join(row + "\r\n" for row in rows)
         split_dir = tmp_path / "splits"
@@ -989,3 +1052,39 @@ class TestCliErrors:
         assert main(["split", "--data-dir", str(tmp_path / "ghost"),
                      "--out", str(tmp_path / "o")]) == 1
         assert "error: MissingDir:" in stderr_error(capsys)
+
+
+class TestKilledTrain:
+    def test_every_output_a_killed_train_leaves_is_whole(self, blob_data, tmp_path):
+        """SIGKILL a `train` process at seeded delays, over one directory:
+        each checkpoint, history and manifest left behind must read, and
+        a rerun must then succeed.  A killed writer's temporary file is
+        left behind (never under an output's name)."""
+        root, _ = blob_data
+        out = tmp_path / "run"
+        config = write_config(tmp_path / "c.json", train=dict(TINY, epochs=4))
+        argv = [sys.executable, "-m", "tumorkit", "train", "--config", config,
+                "--data-dir", str(root), "--out", str(out)]
+        env = {**os.environ, "PYTHONPATH": str(Path(tumorkit.__file__).parents[1])}
+
+        def check_outputs():
+            for path in out.glob("checkpoints/*.nnck"):
+                load_model("vgg_tiny", TINY["input_size"], path)
+            if (out / "history.csv").exists():
+                read_history_csv(out / "history.csv")
+            for path in out.glob("splits/*.csv"):
+                read_manifest(path)
+
+        delays = random.Random(18)
+        for _ in range(4):
+            with subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL,
+                                  stderr=subprocess.DEVNULL) as child:
+                try:
+                    child.wait(timeout=delays.uniform(0.15, 0.6))
+                except subprocess.TimeoutExpired:
+                    child.kill()
+            check_outputs()
+        done = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        check_outputs()
+        assert (out / "checkpoints" / "best.nnck").is_file()

@@ -19,6 +19,7 @@ from tumorkit import preprocess
 from tumorkit.errors import NoForeground
 from tumorkit.pgm import GrayImage8
 from tumorkit.preprocess import (
+    DEFAULT_MORPH_ITERS,
     BinaryMask,
     CropBox,
     compute_crop_box,
@@ -46,85 +47,57 @@ class TestThreshold:
         img = gray([[44, 45, 46, 255]])
         assert threshold(img).bits.tolist() == [[False, False, True, True]]
 
-    def test_custom_level(self):
-        img = gray([[0, 100, 101]])
-        assert threshold(img, 100).bits.tolist() == [[False, False, True]]
-
-    def test_level_out_of_range(self):
-        img = gray([[0]])
-        for t in (-1, 256):
-            with pytest.raises(ValueError):
-                threshold(img, t)
-
 
 class TestMorphology:
     def test_erode_matches_loop_oracle(self):
         g = np.random.default_rng(11)
         for _ in range(20):
             bits = g.random((13, 17)) < 0.55
-            for iters in (1, 2):
-                got = erode(BinaryMask(bits), iters).bits
-                assert np.array_equal(got, loop_erode(bits, iters))
+            got = erode(BinaryMask(bits)).bits
+            assert np.array_equal(got, loop_erode(bits, DEFAULT_MORPH_ITERS))
 
     def test_dilate_matches_loop_oracle(self):
         g = np.random.default_rng(12)
         for _ in range(20):
             bits = g.random((17, 13)) < 0.25
-            for iters in (1, 2):
-                got = dilate(BinaryMask(bits), iters).bits
-                assert np.array_equal(got, loop_dilate(bits, iters))
+            got = dilate(BinaryMask(bits)).bits
+            assert np.array_equal(got, loop_dilate(bits, DEFAULT_MORPH_ITERS))
 
     def test_matches_sliding_window_form(self):
         g = np.random.default_rng(13)
+        k = DEFAULT_MORPH_ITERS
         for _ in range(150):
             h, w = (int(v) for v in g.integers(1, 41, size=2))
             bits = g.random((h, w)) < g.uniform(0.2, 0.9)
-            iters = int(g.integers(0, 4))
-            assert np.array_equal(erode(BinaryMask(bits), iters).bits,
-                                  window_reduce(bits, iters, np.all))
-            assert np.array_equal(dilate(BinaryMask(bits), iters).bits,
-                                  window_reduce(bits, iters, np.any))
-        # deeper openings, and masks one pixel thin along either axis, where
-        # the (2k+1)-wide window is wider than the image
+            assert np.array_equal(erode(BinaryMask(bits)).bits, window_reduce(bits, k, np.all))
+            assert np.array_equal(dilate(BinaryMask(bits)).bits, window_reduce(bits, k, np.any))
+        # masks one pixel thin along either axis, where the (2k+1)-wide
+        # window is wider than the image
         thin = [(1, 1), (1, 9), (9, 1), (1, 40), (40, 1), (2, 17), (17, 2)]
         for i in range(120):
             h, w = thin[i % len(thin)] if i < 70 else (int(v) for v in g.integers(1, 41, size=2))
             bits = g.random((h, w)) < g.uniform(0.2, 0.95)
-            for iters in range(5):
-                assert np.array_equal(erode(BinaryMask(bits), iters).bits,
-                                      window_reduce(bits, iters, np.all))
-                assert np.array_equal(dilate(BinaryMask(bits), iters).bits,
-                                      window_reduce(bits, iters, np.any))
+            assert np.array_equal(erode(BinaryMask(bits)).bits, window_reduce(bits, k, np.all))
+            assert np.array_equal(dilate(BinaryMask(bits)).bits, window_reduce(bits, k, np.any))
 
     def test_outside_counts_as_background(self):
-        # a lone corner pixel touches the border, so one erosion kills it
-        bits = np.zeros((4, 4), dtype=bool)
+        # a lone corner pixel touches the border, so erosion kills it
+        bits = np.zeros((5, 5), dtype=bool)
         bits[0, 0] = True
-        assert not erode(BinaryMask(bits), 1).bits.any()
-        # dilating it fills only the in-bounds 2x2 corner
-        grown = dilate(BinaryMask(bits), 1).bits
-        assert grown.sum() == 4 and grown[:2, :2].all()
-
-    def test_zero_iterations_is_identity(self):
-        bits = np.eye(5, dtype=bool)
-        for op in (erode, dilate):
-            assert op(BinaryMask(bits), 0).bits.tolist() == bits.tolist()
+        assert not erode(BinaryMask(bits)).bits.any()
+        # two dilations fill only the in-bounds 3x3 corner
+        grown = dilate(BinaryMask(bits)).bits
+        assert grown.sum() == 9 and grown[:3, :3].all()
 
     def test_opening_restores_big_square_and_kills_small(self):
         big = np.zeros((11, 11), dtype=bool)
         big[3:8, 3:8] = True  # 5x5 survives two erosions as one pixel
-        opened = dilate(erode(BinaryMask(big), 2), 2)
+        opened = dilate(erode(BinaryMask(big)))
         assert np.array_equal(opened.bits, big)
 
         small = np.zeros((11, 11), dtype=bool)
         small[3:7, 3:7] = True  # 4x4 is gone after two erosions
-        assert not erode(BinaryMask(small), 2).bits.any()
-
-    def test_bad_arguments(self):
-        m = mask_of([[True]])
-        for op in (erode, dilate):
-            with pytest.raises(ValueError):
-                op(m, -1)
+        assert not erode(BinaryMask(small)).bits.any()
 
 
 def oracle_box(bits: np.ndarray) -> CropBox:
