@@ -176,8 +176,6 @@ def _report(report: MetricsReport, out: Path, summary: str) -> None:
 def _cmd_eval(args, split_cfg: SplitConfig, train_cfg: TrainConfig) -> None:
     out = Path(_require(args.out, "--out"))
     checkpoint = args.checkpoint or out / "checkpoints" / BEST_CHECKPOINT
-    if not Path(checkpoint).is_file():
-        raise BadConfig(f"checkpoint {checkpoint} not found; train first or pass --checkpoint")
     _, _, test_m = _read_splits(out)
     report, samples, predictions = run_evaluation(checkpoint, test_m, train_cfg)
     write_scores_csv(test_m, samples, predictions, out / "scores.csv")
@@ -202,13 +200,14 @@ def _cmd_report(args, split_cfg: SplitConfig, train_cfg: TrainConfig) -> None:
     _report(evaluate_scores(samples, predictions), out, "report regenerated in")
 
 
+# name -> (handler, help line), in --help order
 _COMMANDS = {
-    "split": _cmd_split,
-    "preprocess": _cmd_preprocess,
-    "train": _cmd_train,
-    "eval": _cmd_eval,
-    "predict": _cmd_predict,
-    "report": _cmd_report,
+    "split": (_cmd_split, "write train/val/test manifests for a yes/ no/ dataset"),
+    "preprocess": (_cmd_preprocess, "save cropped and resized copies of every image"),
+    "train": (_cmd_train, "train a model and save checkpoints plus history"),
+    "eval": (_cmd_eval, "score the test split and write report files"),
+    "predict": (_cmd_predict, "classify one image file"),
+    "report": (_cmd_report, "regenerate report files from saved scores"),
 }
 
 
@@ -218,14 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tumorkit", description="Brain MRI tumor detection pipeline"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("split", "write train/val/test manifests for a yes/ no/ dataset"),
-        ("preprocess", "save cropped and resized copies of every image"),
-        ("train", "train a model and save checkpoints plus history"),
-        ("eval", "score the test split and write report files"),
-        ("predict", "classify one image file"),
-        ("report", "regenerate report files from saved scores"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", help="JSON config file")
         cmd.add_argument("--seed", type=int, help="override split and train seeds")
@@ -242,7 +234,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         split_cfg, train_cfg = load_configs(args.config, args.seed)
-        _COMMANDS[args.command](args, split_cfg, train_cfg)
+        handler, _ = _COMMANDS[args.command]
+        handler(args, split_cfg, train_cfg)
     except TumorkitError as exc:
         # one line, even if the message quotes a line break from a file
         message = "\\n".join(str(exc).splitlines())

@@ -179,12 +179,10 @@ class Model:
         logits = self.head(self.trunk(batch, mode, rng), mode, rng, trace)
         return logits, trace
 
-    def forward(
-        self, batch: np.ndarray, mode: str = "eval", rng: Rng | None = None
-    ) -> np.ndarray:
-        """Class probabilities [N, len(CLASSES)], rows summing to 1; no
-        trace is kept."""
-        return nn.softmax(self.head(self.trunk(batch, mode, rng), mode, rng))
+    def forward(self, batch: np.ndarray) -> np.ndarray:
+        """Eval-mode class probabilities [N, len(CLASSES)], rows summing
+        to 1; no trace is kept.  Training goes through :meth:`forward_logits`."""
+        return nn.softmax(self.head(self.trunk(batch)))
 
     def backward(self, trace: list[tuple], dlogits: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients of the trainable parameters, keyed like :meth:`parameters`.

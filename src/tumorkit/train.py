@@ -38,7 +38,7 @@ from .dataset import DatasetManifest, make_dir, reading
 from .errors import BadConfig, NonFiniteLoss, TumorkitError, check_field_types
 from .metrics import CLASSES, MetricsReport, ScoredSample, evaluate_scores, label_from_score
 from .model import FREEZE_POLICIES, Model, apply_freeze_policy, build_model, init_weights
-from .nn import AdamState, adam_step, softmax, softmax_ce_loss
+from .nn import AdamState, adam_step, softmax_ce_loss
 from .pgm import GrayImage8, image_to_tensor, read_pgm
 from .preprocess import crop_and_resize, normalize_zscore
 from .report import EpochStats
@@ -133,18 +133,12 @@ def _to_batch(images: list[GrayImage8]) -> np.ndarray:
     return np.stack([normalize_zscore(image_to_tensor(img)) for img in images])
 
 
-def _trunk_batches(model: Model, x: np.ndarray, batch_size: int) -> list[np.ndarray]:
-    """Eval-mode trunk output of each ``batch_size`` slice of x, in order."""
-    return [model.trunk(x[start : start + batch_size]) for start in range(0, len(x), batch_size)]
-
-
 def _eval_pass(model: Model, trunk_out: list[np.ndarray], targets: np.ndarray):
-    """Mean loss, accuracy, and YES probabilities in eval mode, running
+    """The validation pass: mean loss and accuracy in eval mode, running
     the model head on each batch of trunk output."""
     n = len(targets)
     total_loss = 0.0
     correct = 0
-    scores = np.empty(n, dtype=np.float64)
     start = 0
     for features in trunk_out:
         stop = start + len(features)
@@ -152,9 +146,8 @@ def _eval_pass(model: Model, trunk_out: list[np.ndarray], targets: np.ndarray):
         loss, _ = softmax_ce_loss(logits, targets[start:stop])
         total_loss += loss * (stop - start)
         correct += int((logits.argmax(axis=1) == targets[start:stop].argmax(axis=1)).sum())
-        scores[start:stop] = softmax(logits)[:, 1]
         start = stop
-    return total_loss / n, correct / n, scores
+    return total_loss / n, correct / n
 
 
 def run_training(
@@ -223,8 +216,11 @@ def run_training(
         if val_x is not None:
             # the frozen trunk's output never changes: compute it once, in epoch 1
             if val_trunk is None:
-                val_trunk = _trunk_batches(model, val_x, cfg.batch_size)
-            val_loss, val_acc, _ = _eval_pass(model, val_trunk, val_targets)
+                val_trunk = [
+                    model.trunk(val_x[start : start + cfg.batch_size])
+                    for start in range(0, len(val_x), cfg.batch_size)
+                ]
+            val_loss, val_acc = _eval_pass(model, val_trunk, val_targets)
         else:
             val_loss = val_acc = None
         history.append(
@@ -250,6 +246,23 @@ def run_training(
     return TrainResult(best_path, final_path, best_acc, history)
 
 
+def _yes_scores(
+    checkpoint_path: str | Path, paths: list[str | Path], cfg: TrainConfig
+) -> list[float]:
+    """Probability of YES for each image file, in order: the one scoring
+    path of both :func:`run_evaluation` and :func:`predict_single`.
+
+    The checkpoint is loaded before any image is read, and
+    ``Model.forward`` runs on ``cfg.batch_size`` images at a time.
+    """
+    model = load_model(cfg.architecture, cfg.input_size, checkpoint_path)
+    images = [load_one_image(path, cfg) for path in paths]
+    scores: list[float] = []
+    for start in range(0, len(images), cfg.batch_size):
+        scores += model.forward(_to_batch(images[start : start + cfg.batch_size]))[:, 1].tolist()
+    return scores
+
+
 def run_evaluation(
     checkpoint_path: str | Path, manifest: DatasetManifest, cfg: TrainConfig
 ) -> tuple[MetricsReport, list[ScoredSample], list[str]]:
@@ -260,15 +273,8 @@ def run_evaluation(
     """
     if not manifest.entries:
         raise BadConfig("the evaluation manifest lists no images")
-    model = load_model(cfg.architecture, cfg.input_size, checkpoint_path)
-    base = load_base_images(manifest, cfg)
-    x = _to_batch([img for img, _ in base])
-    targets = _one_hot([label for _, label in base])
-    _, _, scores = _eval_pass(model, _trunk_batches(model, x, cfg.batch_size), targets)
-    samples = [
-        ScoredSample(entry.label, float(score))
-        for entry, score in zip(manifest.entries, scores)
-    ]
+    scores = _yes_scores(checkpoint_path, [entry.path for entry in manifest.entries], cfg)
+    samples = [ScoredSample(entry.label, score) for entry, score in zip(manifest.entries, scores)]
     predictions = [label_from_score(s.score) for s in samples]
     return evaluate_scores(samples, predictions), samples, predictions
 
@@ -276,9 +282,7 @@ def run_evaluation(
 def predict_single(
     checkpoint_path: str | Path, image_path: str | Path, cfg: TrainConfig
 ) -> tuple[str, float]:
-    """(predicted label, probability of YES) for one image file."""
-    model = load_model(cfg.architecture, cfg.input_size, checkpoint_path)
-    x = _to_batch([load_one_image(image_path, cfg)])
-    probs = model.forward(x, "eval")
-    p_yes = float(probs[0, 1])
+    """(predicted label, probability of YES) for one image file: the
+    same scoring as :func:`run_evaluation` on a one-image manifest."""
+    (p_yes,) = _yes_scores(checkpoint_path, [image_path], cfg)
     return label_from_score(p_yes), p_yes

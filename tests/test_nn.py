@@ -413,10 +413,10 @@ class TestSplitProduct:
             param[...] = g.standard_normal(param.shape, dtype=np.float32) * np.sqrt(2 / fan_in)
         x = g.normal(size=(1, 1, 224, 224)).astype(np.float32)
         monkeypatch.setattr(nn, "WORKERS", 1)
-        alone = m.forward(x, "eval")
+        alone = m.forward(x)
         assert submitted == []
         monkeypatch.setattr(nn, "WORKERS", 2)
-        assert m.forward(x, "eval").tobytes() == alone.tobytes()
+        assert m.forward(x).tobytes() == alone.tobytes()
         assert len(submitted) == 13  # every conv, the first at 28.9 M multiply-adds
 
     @pytest.mark.parametrize("shape, budget", [

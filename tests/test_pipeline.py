@@ -28,7 +28,13 @@ import tumorkit
 from tumorkit import checkpoint, errors
 from tumorkit.checkpoint import load_model, parse_weights
 from tumorkit.cli import SPLIT_FILES, build_parser, main
-from tumorkit.dataset import DatasetManifest, SplitConfig, read_manifest, stratified_split
+from tumorkit.dataset import (
+    DatasetManifest,
+    SplitConfig,
+    read_manifest,
+    stratified_split,
+    write_manifest,
+)
 from tumorkit.errors import BadConfig, NoForeground
 from tumorkit.metrics import CLASSES, NO, YES, label_from_score
 from tumorkit.model import Model
@@ -296,13 +302,29 @@ class TestPredictSingle:
         """A row whose argmax is YES but whose YES score is not above 0.5
         is labelled as eval labels it: NO."""
         class Stub:
-            def forward(self, x, mode):
+            def forward(self, x):
                 return np.array([[0.4999999, 0.5]])
 
         monkeypatch.setattr("tumorkit.train.load_model", lambda *args: Stub())
         _, manifest = blob_data
         label, p_yes = predict_single("unused.nnck", manifest.entries[0].path, tiny_cfg())
         assert (label, p_yes) == (label_from_score(0.5), 0.5) == (NO, 0.5)
+
+    def test_equals_the_eval_score_at_batch_size_one(self, trained):
+        """predict is eval of one image: each scores.csv score equals
+        predict's probability for that image, bit for bit.
+
+        Only batch_size 1 is asserted.  Larger batches run the first
+        dense product on several rows at once, which BLAS computes
+        along another path than for one row, so a row of a larger eval
+        batch may differ from predict in the last bits.
+        """
+        result, train_m, val_m, test_m, _ = trained
+        cfg = tiny_cfg(batch_size=1)
+        manifest = DatasetManifest(train_m.entries + val_m.entries + test_m.entries)
+        _, samples, _ = run_evaluation(result.best_path, manifest, cfg)
+        for entry, sample in zip(manifest.entries, samples):
+            assert predict_single(result.best_path, entry.path, cfg)[1] == sample.score
 
     def test_blank_image_reports_the_path(self, trained, tmp_path):
         result, *_ = trained
@@ -471,6 +493,21 @@ class TestHostileInput:
             [command[0], "--config", str(config), "--out", str(base / "run"), *command[1:]]
         )
 
+    @pytest.mark.parametrize("rows", [
+        ["1,nan,0.5,,"], ["1,inf,0.5,,"], ["1,1e309,0.5,,"],
+        ["1,0.7,2.0,,"], ["1,0.7,-3,,"],
+        ["-1,0.7,0.5,,"], ["3,0.7,0.5,,", "1,0.7,0.5,,"],
+        ["12345678901234567890123,0.7,0.5,,"],
+    ], ids=["nan-loss", "inf-loss", "overflowing-loss", "accuracy-above-one",
+            "negative-accuracy", "negative-epoch", "epochs-out-of-order", "23-digit-epoch"])
+    def test_foreign_history(self, hostile_base, tmp_path, rows):
+        """A history.csv row its writer never writes, under the right header."""
+        base = tmp_path / "base"
+        shutil.copytree(hostile_base, base)
+        header = "epoch,train_loss,train_acc,val_loss,val_acc"
+        (base / "run" / "history.csv").write_text("".join(r + "\r\n" for r in [header, *rows]))
+        one_error_line_or_success(["report", "--out", str(base / "run")])
+
 
 class TestCliChain:
     def test_split_writes_three_manifests(self, cli_run):
@@ -588,8 +625,8 @@ class TestParser:
             build_parser.cache_clear()
             alone.append(run(argv))
         assert together == alone
-        # eval saw no --checkpoint, and the unseeded split no --seed
-        assert together[1][:2] == (1, "") and "not found" in together[1][2]
+        # eval found no splits to score, and the unseeded split saw no --seed
+        assert together[1][:2] == (1, "") and "run the split command first" in together[1][2]
         assert together[2][3] != together[3][3]
 
 
@@ -929,15 +966,25 @@ class TestCliErrors:
         assert err.startswith("error: BadConfig: ")
         assert problem in err
 
-    @pytest.mark.parametrize("which", ["image", "checkpoint"])
+    @pytest.mark.parametrize("command, which", [
+        ("predict", "image"), ("predict", "checkpoint"), ("eval", "checkpoint"),
+    ], ids=["image", "checkpoint", "eval-checkpoint"])
     @pytest.mark.parametrize("kind", ["missing", "directory"])
-    def test_unreadable_predict_path(self, trained, tmp_path, capsys, which, kind):
-        result, *_, test_m, _ = trained
+    def test_unreadable_predict_path(self, trained, tmp_path, capsys, command, which, kind):
+        result, train_m, val_m, test_m, _ = trained
         bad = tmp_path / "ghost.pgm" if kind == "missing" else tmp_path
         image = bad if which == "image" else test_m.entries[0].path
         checkpoint = bad if which == "checkpoint" else result.best_path
         config = write_config(tmp_path / "c.json", train=TINY)
-        argv = ["predict", "--config", config, "--checkpoint", str(checkpoint), str(image)]
+        argv = [command, "--config", config, "--checkpoint", str(checkpoint)]
+        if command == "eval":
+            out = tmp_path / "run"
+            (out / "splits").mkdir(parents=True)
+            for name, split in zip(SPLIT_FILES, (train_m, val_m, test_m)):
+                write_manifest(split, out / "splits" / name)
+            argv += ["--out", str(out)]
+        else:
+            argv.append(str(image))
         assert main(argv) == 1
         err = stderr_error(capsys)
         assert err.count("\n") == 1
