@@ -157,13 +157,20 @@ def cohens_kappa(cm: ConfusionMatrix) -> float | None:
     return (p0 - pe) / (1.0 - pe)
 
 
-def _grouped_counts(samples: Sequence[ScoredSample]) -> list[tuple[float, int, int]]:
-    """Distinct scores descending with (score, yes count, no count)."""
+def _sweep(samples: Sequence[ScoredSample]) -> list[tuple[float, int, int]]:
+    """(threshold, YES so far, NO so far) at each distinct score, descending:
+    the samples a ``score >= threshold`` rule predicts YES, by true class.
+    The last point holds the class totals."""
     by_score: dict[float, list[int]] = {}
     for s in samples:
-        pair = by_score.setdefault(s.score, [0, 0])
-        pair[0 if s.true_label == YES else 1] += 1
-    return [(score, y, n) for score, (y, n) in sorted(by_score.items(), reverse=True)]
+        by_score.setdefault(s.score, [0, 0])[0 if s.true_label == YES else 1] += 1
+    points = []
+    yes = no = 0
+    for score, (y, n) in sorted(by_score.items(), reverse=True):
+        yes += y
+        no += n
+        points.append((score, yes, no))
+    return points
 
 
 def roc_curve(samples: Sequence[ScoredSample]) -> list[tuple[float, float, float]]:
@@ -172,17 +179,11 @@ def roc_curve(samples: Sequence[ScoredSample]) -> list[tuple[float, float, float
     At each threshold a sample is predicted YES when score >= threshold,
     so the curve starts at (0, 0) and ends at (1, 1).
     """
-    pos = sum(1 for s in samples if s.true_label == YES)
-    neg = len(samples) - pos
+    sweep = _sweep(samples)
+    _, pos, neg = sweep[-1] if sweep else (None, 0, 0)
     if pos == 0 or neg == 0:
         raise OneClassOnly(f"{pos} positive and {neg} negative samples")
-    points = [(math.inf, 0.0, 0.0)]
-    ctp = cfp = 0
-    for score, y, n in _grouped_counts(samples):
-        ctp += y
-        cfp += n
-        points.append((score, cfp / neg, ctp / pos))
-    return points
+    return [(math.inf, 0.0, 0.0)] + [(t, no / neg, yes / pos) for t, yes, no in sweep]
 
 
 def auc(curve: Sequence[tuple[float, float, float]]) -> float:
@@ -195,16 +196,11 @@ def auc(curve: Sequence[tuple[float, float, float]]) -> float:
 
 def pr_curve(samples: Sequence[ScoredSample]) -> list[tuple[float, float, float]]:
     """(threshold, precision, recall) at each distinct score, descending."""
-    pos = sum(1 for s in samples if s.true_label == YES)
+    sweep = _sweep(samples)
+    pos = sweep[-1][1] if sweep else 0
     if pos == 0:
         raise NoPositives("precision-recall needs at least one positive sample")
-    points = []
-    ctp = cfp = 0
-    for score, y, n in _grouped_counts(samples):
-        ctp += y
-        cfp += n
-        points.append((score, ctp / (ctp + cfp), ctp / pos))
-    return points
+    return [(t, yes / (yes + no), yes / pos) for t, yes, no in sweep]
 
 
 def _step_area(curve: Sequence[tuple[float, float, float]]) -> float:

@@ -4,9 +4,10 @@ A :class:`Model` is an ordered list of :class:`LayerSpec` nodes plus one
 table, ``layers``, that maps each conv and dense node's name to its
 parameter layer in network order; every walk over the parameters
 (``parameters``, ``init_weights``, ``apply_freeze_policy``) reads that
-table.  Two builders are provided: ``build_vgg16`` (13 conv layers in
-five blocks, global average pooling in place of the fifth max-pool, then
-a dropout and dense head) and ``build_vgg_tiny`` (a three-block
+table.  ``build_model`` builds an architecture from one table, the only
+record of which (architecture, input size) pairs exist: ``vgg16`` (13
+conv layers in five blocks, global average pooling in place of the fifth
+max-pool, then a dropout and dense head) and ``vgg_tiny`` (a three-block
 miniature with the same layer kinds, small enough to train in seconds).
 
 The nodes before the first trainable (not ``frozen``) layer form the
@@ -35,7 +36,19 @@ from .rng import Rng
 FREEZE_NONE = "none"
 FREEZE_FEATURES = "freeze_features"
 FREEZE_POLICIES = (FREEZE_NONE, FREEZE_FEATURES)
-DROPOUT_P = 0.3  # every dropout node's, in both builders
+DROPOUT_P = 0.3  # every dropout node's, in both architectures
+# Largest vgg_tiny input side: twice the 512x512 slices of the usual MRI
+# archives.  One 1024x1024 image already takes 38 MB of conv1 patches.
+MAX_TINY_INPUT_SIZE = 1024
+# name -> (conv widths by block, whether the last block pools, hidden dense
+# widths, the input sides it takes, how an error message names those sides)
+_SHAPES = {
+    "vgg16": ([[64, 64], [128, 128], [256] * 3, [512] * 3, [512] * 3], False, [256, 256],
+              range(224, 225), "224"),
+    "vgg_tiny": ([[8], [16], [32]], True, [32], range(8, MAX_TINY_INPUT_SIZE + 1, 8),
+                 f"at most {MAX_TINY_INPUT_SIZE} and a positive multiple of 8"),
+}
+ARCHITECTURES = tuple(_SHAPES)
 
 
 @dataclass(frozen=True)
@@ -65,14 +78,12 @@ class Model:
         specs: list[LayerSpec],
         layers: dict[str, nn.ConvLayer | nn.DenseLayer],
         input_size: int,
-        arch: str,
     ):
         if specs[-1].kind != "softmax":
             raise ValueError("layer list must end with softmax")
         self.specs = specs
         self.layers = layers
         self.input_size = input_size
-        self.arch = arch
 
     def layer(self, name: str) -> nn.ConvLayer | nn.DenseLayer:
         return self.layers[name]
@@ -225,7 +236,6 @@ def _assemble(
     last_block_pools: bool,
     head_widths: list[int],
     input_size: int,
-    arch: str,
 ) -> Model:
     """Shared builder: conv blocks, GAP, dropout/dense head, softmax."""
     specs: list[LayerSpec] = []
@@ -253,45 +263,35 @@ def _assemble(
         if i <= len(head_widths):
             specs += [LayerSpec("dropout"), LayerSpec("dense", name), LayerSpec("relu")]
     specs += [LayerSpec("dense", name), LayerSpec("softmax")]  # the classifier
-    return Model(specs, layers, input_size, arch)
+    return Model(specs, layers, input_size)
+
+
+def check_shape(arch: str, input_size: int) -> None:
+    """ValueError unless ``arch`` is built in and takes ``input_size`` x ``input_size`` input."""
+    if arch not in ARCHITECTURES:
+        raise ValueError(f"architecture must be one of {ARCHITECTURES}")
+    *_, sides, sides_text = _SHAPES[arch]
+    if input_size not in sides:
+        raise ValueError(f"{arch} input_size must be {sides_text}, got {input_size}")
+
+
+def build_model(arch: str, input_size: int) -> Model:
+    """The ``arch`` network with zeroed weights, after :func:`check_shape`."""
+    check_shape(arch, input_size)
+    blocks, last_block_pools, head_widths, *_ = _SHAPES[arch]
+    return _assemble(blocks, last_block_pools, head_widths, input_size)
 
 
 def build_vgg16() -> Model:
-    """Thirteen 3x3 conv layers in blocks 64-64 / 128-128 / 256x3 / 512x3
-    / 512x3 with 2x2 max-pools between blocks, global average pooling in
-    place of the fifth pool, then Dropout(0.3), Dense 256, ReLU,
-    Dropout(0.3), Dense 256, ReLU, Dense 2, Softmax."""
-    return _assemble(
-        blocks=[[64, 64], [128, 128], [256, 256, 256], [512, 512, 512], [512, 512, 512]],
-        last_block_pools=False,
-        head_widths=[256, 256],
-        input_size=224,
-        arch="vgg16",
-    )
+    """224x224 input; 2x2 max-pools between the blocks, GAP in place of the fifth,
+    then Dropout(0.3), Dense 256, ReLU, Dropout(0.3), Dense 256, ReLU, Dense 2, Softmax."""
+    return build_model("vgg16", 224)
 
 
 def build_vgg_tiny(input_size: int = 64) -> Model:
-    """Miniature of the same shape family: blocks 8 / 16 / 32 each
-    followed by a max-pool, GAP, Dropout(0.3), Dense 32, ReLU,
-    Dropout(0.3), Dense 2, Softmax."""
-    if input_size % 8:
-        raise ValueError(f"input_size must be divisible by 8, got {input_size}")
-    return _assemble(
-        blocks=[[8], [16], [32]],
-        last_block_pools=True,
-        head_widths=[32],
-        input_size=input_size,
-        arch="vgg_tiny",
-    )
-
-
-def build_model(arch: str, input_size: int | None = None) -> Model:
-    """Builder dispatch by architecture name."""
-    if arch == "vgg16":
-        return build_vgg16()
-    if arch == "vgg_tiny":
-        return build_vgg_tiny(input_size=input_size or 64)
-    raise ValueError(f"unknown architecture {arch!r}")
+    """Blocks 8 / 16 / 32 each followed by a max-pool, then GAP,
+    Dropout(0.3), Dense 32, ReLU, Dropout(0.3), Dense 2, Softmax."""
+    return build_model("vgg_tiny", input_size)
 
 
 def apply_freeze_policy(model: Model, policy: str) -> Model:

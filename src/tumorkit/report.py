@@ -11,6 +11,8 @@ curve files for a one-class run contain only their header row.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -128,22 +130,32 @@ def read_scores_csv(path: str | Path):
     return DatasetManifest([r[0] for r in rows]), [r[1] for r in rows], [r[2] for r in rows]
 
 
-def _history_row(epoch: str, train_loss: str, train_acc: str, val_loss: str, val_acc: str):
-    # one spelling per epoch, the writer's, so no two rows name the same one
-    number = int(epoch)
-    if str(number) != epoch:
-        raise ValueError(f"epoch {epoch!r} is not written as a plain integer")
+def _history_row(k: int, epoch: str, train_loss: str, train_acc: str, val_loss: str, val_acc: str):
+    """Data row ``k`` if :func:`write_history_csv` could have written it:
+    epoch ``k`` spelled ``str(k)``, accuracies in [0, 1], and losses
+    neither negative nor infinite (a ``nan`` loss is kept: a validation
+    pass on NaN weights gives one)."""
+    if epoch != str(k):
+        raise ValueError(f"data row {k} must be epoch {k}, got {epoch!r}")
     val = [float(v) if v else None for v in (val_loss, val_acc)]
-    return EpochStats(number, float(train_loss), float(train_acc), *val, seconds=0.0)
+    row = EpochStats(k, float(train_loss), float(train_acc), *val, seconds=0.0)
+    for loss in (row.train_loss, row.val_loss):
+        if loss is not None and (loss < 0 or math.isinf(loss)):
+            raise ValueError(f"loss {loss} is negative or infinite")
+    for acc in (row.train_acc, row.val_acc):
+        if acc is not None and not 0.0 <= acc <= 1.0:
+            raise ValueError(f"accuracy {acc} is not in [0, 1]")
+    return row
 
 
 def read_history_csv(path: str | Path) -> list[EpochStats]:
     """Parse a history.csv back into epoch stats (timings not stored).
 
-    A malformed row or a repeated epoch raises BadConfig naming
+    A row :func:`write_history_csv` cannot write raises BadConfig naming
     ``path:line`` (see :func:`~tumorkit.dataset.read_table`).
     """
-    return read_table(path, "history", HISTORY_HEADER, _history_row)
+    rows = itertools.count(1)
+    return read_table(path, "history", HISTORY_HEADER, lambda *f: _history_row(next(rows), *f))
 
 
 def roc_svg(report: MetricsReport) -> str:

@@ -37,27 +37,25 @@ from .checkpoint import apply_weights, dump_weights, load_checkpoint  # noqa: F4
 from .dataset import DatasetManifest, make_dir, reading
 from .errors import BadConfig, NonFiniteLoss, TumorkitError, check_field_types
 from .metrics import CLASSES, MetricsReport, ScoredSample, evaluate_scores, label_from_score
-from .model import FREEZE_POLICIES, Model, apply_freeze_policy, build_model, init_weights
+from .model import (
+    FREEZE_POLICIES, Model, apply_freeze_policy, build_model, check_shape, init_weights
+)
 from .nn import AdamState, adam_step, softmax_ce_loss
 from .pgm import GrayImage8, image_to_tensor, read_pgm
 from .preprocess import crop_and_resize, normalize_zscore
 from .report import EpochStats
 from .rng import Rng, STREAM_AUGMENT, STREAM_DROPOUT, STREAM_INIT, STREAM_SHUFFLE, mix_seed
 
-ARCHITECTURES = ("vgg16", "vgg_tiny")
 BEST_CHECKPOINT = "best.nnck"
 FINAL_CHECKPOINT = "final.nnck"
-# Largest vgg_tiny input side: twice the 512x512 slices of the usual MRI
-# archives.  One 1024x1024 image already takes 38 MB of conv1 patches.
-MAX_TINY_INPUT_SIZE = 1024
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters and run plumbing for one training run.
 
-    ``input_size`` is 224 for vgg16 and a multiple of 8 from 8 to
-    :data:`MAX_TINY_INPUT_SIZE` for vgg_tiny.  The crop chain and the
+    ``architecture`` and ``input_size`` must be a pair that
+    :func:`tumorkit.model.check_shape` accepts.  The crop chain and the
     augmentation recipe are fixed (see :mod:`tumorkit.preprocess` and
     :mod:`tumorkit.augment`), so they have no fields here.
     """
@@ -79,19 +77,12 @@ class TrainConfig:
             raise BadConfig(f"epochs must be at least 1, got {self.epochs}")
         if self.batch_size < 1:
             raise BadConfig(f"batch_size must be at least 1, got {self.batch_size}")
-        if self.architecture not in ARCHITECTURES:
-            raise BadConfig(f"architecture must be one of {ARCHITECTURES}")
+        try:
+            check_shape(self.architecture, self.input_size)
+        except ValueError as exc:
+            raise BadConfig(str(exc)) from None
         if self.freeze_policy not in FREEZE_POLICIES:
             raise BadConfig(f"freeze_policy must be one of {FREEZE_POLICIES}")
-        if self.architecture == "vgg16" and self.input_size != 224:
-            raise BadConfig("vgg16 takes 224x224 input")
-        if self.architecture == "vgg_tiny" and (
-            not 8 <= self.input_size <= MAX_TINY_INPUT_SIZE or self.input_size % 8
-        ):
-            raise BadConfig(
-                f"vgg_tiny input_size must be at most {MAX_TINY_INPUT_SIZE} "
-                f"and a positive multiple of 8, got {self.input_size}"
-            )
 
 
 @dataclass

@@ -285,7 +285,7 @@ class TestLoadModel:
     @staticmethod
     def mini(arch="mini", input_size=4):
         # conv1 [2, 1, 3, 3] and dense1 [2, 2]: a file of about 170 bytes
-        return _assemble([[2]], False, [], input_size, arch)
+        return _assemble([[2]], False, [], input_size)
 
     @pytest.fixture
     def mini_builder(self, monkeypatch):
@@ -314,7 +314,7 @@ class TestLoadModel:
         path = tmp_path / "w.nnck"
         save_checkpoint(src, path)
         m = load_model("vgg_tiny", 16, path)
-        assert m.arch == "vgg_tiny" and m.input_size == 16
+        assert m.input_size == 16
         for name, tensor in src.parameters().items():
             assert np.array_equal(m.parameters()[name], tensor)
         save_checkpoint(m, tmp_path / "again.nnck")
@@ -322,7 +322,7 @@ class TestLoadModel:
 
     def test_reads_into_the_model_without_a_second_copy(self, tmp_path, monkeypatch):
         def wide(arch, input_size):  # about 2.6 MB of weights, most in conv2
-            return _assemble([[256, 256]], False, [256], input_size, arch)
+            return _assemble([[256, 256]], False, [256], input_size)
 
         src = wide("wide", 8)
         g = np.random.default_rng(174)

@@ -1,6 +1,7 @@
 """Network builders, freeze policy, initialization, forward/backward wiring."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -134,10 +135,27 @@ class TestVggTinyStructure:
             build_vgg_tiny(input_size=65)
 
     def test_build_model_dispatch(self):
-        assert build_model("vgg16").arch == "vgg16"
+        assert build_model("vgg16", 224).input_size == 224
         assert build_model("vgg_tiny", input_size=32).input_size == 32
         with pytest.raises(ValueError):
-            build_model("resnet")
+            build_model("resnet", 64)
+
+    @pytest.mark.parametrize("arch, size, problem", [
+        ("vgg16", 300, "vgg16 input_size must be 224, got 300"),
+        ("vgg_tiny", 0, "vgg_tiny input_size must be at most 1024 "
+                        "and a positive multiple of 8, got 0"),
+        ("vgg_tiny", -8, "positive multiple of 8, got -8"),
+        ("vgg_tiny", 2048, "positive multiple of 8, got 2048"),
+        ("resnet", 64, "architecture must be one of ('vgg16', 'vgg_tiny')"),
+    ])
+    def test_build_model_rejects_shapes_no_config_takes(self, arch, size, problem):
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            build_model(arch, size)
+
+    @pytest.mark.parametrize("size", [0, -8, 2048])
+    def test_build_vgg_tiny_rejects_sides_no_config_takes(self, size):
+        with pytest.raises(ValueError, match=f"positive multiple of 8, got {size}$"):
+            build_vgg_tiny(size)
 
 
 class TestInit:

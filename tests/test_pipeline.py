@@ -37,7 +37,7 @@ from tumorkit.dataset import (
 )
 from tumorkit.errors import BadConfig, NoForeground
 from tumorkit.metrics import CLASSES, NO, YES, label_from_score
-from tumorkit.model import Model
+from tumorkit.model import Model, build_model
 from tumorkit.pgm import GrayImage8, write_pgm
 from tumorkit.report import read_history_csv
 from tumorkit.train import (
@@ -134,6 +134,23 @@ class TestTrainConfig:
     def test_rejects_bad_values(self, overrides):
         with pytest.raises(BadConfig):
             TrainConfig(**overrides)
+
+    @pytest.mark.parametrize("arch", ["vgg16", "vgg_tiny", "resnet"])
+    @pytest.mark.parametrize("size", [-8, 0, 7, 8, 16, 64, 65, 224, 1024, 1032, 2048, 2**40])
+    def test_config_rejects_exactly_what_the_builder_rejects(self, arch, size):
+        """One rule, in tumorkit.model: the config and the library builder
+        reject the same (architecture, input size) pairs, in the same words."""
+        try:
+            build_model(arch, size)
+            built = None
+        except ValueError as exc:
+            built = str(exc)
+        try:
+            TrainConfig(architecture=arch, input_size=size)
+            configured = None
+        except BadConfig as exc:
+            configured = str(exc)
+        assert configured == built
 
     def test_tiny_accepts_multiples_of_eight(self):
         cfg = TrainConfig(architecture="vgg_tiny", input_size=48)
@@ -493,20 +510,35 @@ class TestHostileInput:
             [command[0], "--config", str(config), "--out", str(base / "run"), *command[1:]]
         )
 
-    @pytest.mark.parametrize("rows", [
-        ["1,nan,0.5,,"], ["1,inf,0.5,,"], ["1,1e309,0.5,,"],
-        ["1,0.7,2.0,,"], ["1,0.7,-3,,"],
-        ["-1,0.7,0.5,,"], ["3,0.7,0.5,,", "1,0.7,0.5,,"],
-        ["12345678901234567890123,0.7,0.5,,"],
+    @pytest.mark.parametrize("rows, problem", [
+        (["1,nan,0.5,,"], None),
+        (["1,inf,0.5,,"], "2: loss inf is negative or infinite"),
+        (["1,1e309,0.5,,"], "2: loss inf is negative or infinite"),
+        (["1,0.7,2.0,,"], "2: accuracy 2.0 is not in [0, 1]"),
+        (["1,0.7,-3,,"], "2: accuracy -3.0 is not in [0, 1]"),
+        (["-1,0.7,0.5,,"], "2: data row 1 must be epoch 1, got '-1'"),
+        (["3,0.7,0.5,,", "1,0.7,0.5,,"], "2: data row 1 must be epoch 1, got '3'"),
+        (["12345678901234567890123,0.7,0.5,,"],
+         "2: data row 1 must be epoch 1, got '12345678901234567890123'"),
     ], ids=["nan-loss", "inf-loss", "overflowing-loss", "accuracy-above-one",
             "negative-accuracy", "negative-epoch", "epochs-out-of-order", "23-digit-epoch"])
-    def test_foreign_history(self, hostile_base, tmp_path, rows):
-        """A history.csv row its writer never writes, under the right header."""
+    def test_foreign_history(self, hostile_base, tmp_path, capsys, rows, problem):
+        """A history.csv row its writer never writes, under the right header,
+        is one BadConfig line; a nan loss, which train writes, is kept."""
         base = tmp_path / "base"
         shutil.copytree(hostile_base, base)
+        history = base / "run" / "history.csv"
         header = "epoch,train_loss,train_acc,val_loss,val_acc"
-        (base / "run" / "history.csv").write_text("".join(r + "\r\n" for r in [header, *rows]))
-        one_error_line_or_success(["report", "--out", str(base / "run")])
+        history.write_text("".join(r + "\r\n" for r in [header, *rows]))
+        code = main(["report", "--out", str(base / "run")])
+        err = capsys.readouterr().err
+        if problem is None:
+            assert (code, err) == (0, "")
+            assert (base / "run" / "report" / "history.csv").read_text().splitlines()[1] == (
+                "1,nan,0.5,,"
+            )
+        else:
+            assert (code, err) == (1, f"error: BadConfig: {history}:{problem}\n")
 
 
 class TestCliChain:
@@ -605,10 +637,13 @@ class TestParser:
         result, *_, test_m, _ = trained
         root, _ = blob_data
         config = write_config(tmp_path / "c.json", train=TINY)
+        untrained = tmp_path / "untrained"  # splits and no checkpoint
+        assert main(["split", "--data-dir", str(root), "--out", str(untrained)]) == 0
+        capsys.readouterr()
         commands = [
             ["predict", "--config", config, "--checkpoint", str(result.best_path),
              test_m.entries[0].path],
-            ["eval", "--config", config, "--out", str(tmp_path / "untrained")],
+            ["eval", "--config", config, "--out", str(untrained)],
             ["split", "--seed", "11", "--data-dir", str(root), "--out", str(tmp_path / "a")],
             ["split", "--data-dir", str(root), "--out", str(tmp_path / "b")],
         ]
@@ -625,8 +660,12 @@ class TestParser:
             build_parser.cache_clear()
             alone.append(run(argv))
         assert together == alone
-        # eval found no splits to score, and the unseeded split saw no --seed
-        assert together[1][:2] == (1, "") and "run the split command first" in together[1][2]
+        # eval looked for its run's checkpoint, not predict's --checkpoint,
+        # and the unseeded split saw no --seed
+        missing = untrained / "checkpoints" / "best.nnck"
+        assert together[1][:3] == (
+            1, "", f"error: Unreadable: cannot read checkpoint {missing}: No such file or directory\n"
+        )
         assert together[2][3] != together[3][3]
 
 
@@ -888,7 +927,7 @@ class TestCliErrors:
             "bad-field": ([header, good, bad], 3, unparsed),
             "repeated-key": ([header, good, good], 3, f"duplicate {key_name} {key!r}"),
             **{f"epoch-{name}": ([header, good, f"{epoch},0.7,0.5,,"], 3,
-                                 f"epoch {epoch!r} is not written as a plain integer")
+                                 f"data row 2 must be epoch 2, got {epoch!r}")
                for name, epoch in EPOCH_SPELLINGS.items()},
         }[fault]
         text = "".join(row + "\r\n" for row in rows)
