@@ -140,6 +140,23 @@ def stratified_split(
     )
 
 
+def _remove_stale_temporaries(path: Path) -> None:
+    """Remove each ``.<name>.<pid>.tmp`` sibling of ``path`` whose pid
+    names no live process."""
+    prefix = f".{path.name}."
+    # an unreadable directory is reported when the temporary file is opened
+    with contextlib.suppress(OSError):
+        for name in [n for n in os.listdir(path.parent) if n.startswith(prefix)]:
+            pid = name[len(prefix) : -len(".tmp")]
+            if name.endswith(".tmp") and pid.isdigit():
+                try:
+                    os.kill(int(pid), 0)  # signal 0 only asks whether the process exists
+                except (ProcessLookupError, OverflowError):
+                    (path.parent / name).unlink()
+                except PermissionError:  # it exists, as another user's process
+                    pass
+
+
 @contextlib.contextmanager
 def atomic_write(path: str | Path, mode: str = "wb", **open_args):
     """Open a temporary sibling of ``path`` for writing and move it onto
@@ -149,8 +166,14 @@ def atomic_write(path: str | Path, mode: str = "wb", **open_args):
     at ``path`` is left as it was, so a reader never sees half a file.
     An ``OSError`` from opening, writing or renaming (say, a directory
     in the way, or a full disk) raises Unwritable naming ``path``.
+
+    A writer killed mid-write leaves its ``.<name>.<pid>.tmp`` file, whose
+    name no later process reuses; so a write first removes each such
+    sibling whose pid names no live process (or a reused pid's, once
+    that process ends).
     """
     path = Path(path)
+    _remove_stale_temporaries(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, mode, **open_args) as handle:

@@ -9,6 +9,11 @@ record of which (architecture, input size) pairs exist: ``vgg16`` (13
 conv layers in five blocks, global average pooling in place of the fifth
 max-pool, then a dropout and dense head) and ``vgg_tiny`` (a three-block
 miniature with the same layer kinds, small enough to train in seconds).
+A block that pools ends conv, max-pool, ReLU, so that ReLU, its traced
+mask and its backward cover a quarter of the elements.  The order is
+exact: max and ReLU commute, and so do their gradients, which route a
+window's gradient to its first argmax where its max is positive and
+pass zero (of the incoming gradient's sign) where it is <= 0.
 
 The nodes before the first trainable (not ``frozen``) layer form the
 trunk; the rest, up to the softmax, form the head.  ``forward_logits``
@@ -251,7 +256,7 @@ def _assemble(
             specs += [LayerSpec("conv", name), LayerSpec("relu")]
             ch = width
         if b < len(blocks) - 1 or last_block_pools:
-            specs.append(LayerSpec("maxpool"))
+            specs.insert(-1, LayerSpec("maxpool"))  # before the block's last ReLU
     specs.append(LayerSpec("gap"))
     for i, width in enumerate(head_widths + [len(CLASSES)], 1):
         name = f"dense{i}"
@@ -268,6 +273,8 @@ def _assemble(
 
 def check_shape(arch: str, input_size: int) -> None:
     """ValueError unless ``arch`` is built in and takes ``input_size`` x ``input_size`` input."""
+    if isinstance(input_size, bool) or not isinstance(input_size, int):
+        raise ValueError(f"input_size must be an integer, got {input_size}")
     if arch not in ARCHITECTURES:
         raise ValueError(f"architecture must be one of {ARCHITECTURES}")
     *_, sides, sides_text = _SHAPES[arch]

@@ -20,24 +20,27 @@ copy from a strided view, after which the two columns that read across
 a row end (w = 0 of the kx = 0 rows, w = W-1 of the kx = 2 rows) are
 zeroed; the matrix is the one nine shifted slices of a padded copy
 would give.  The forward pass is weight [O, C*9] times the patches of x,
-the weight gradient is dy [O, N*H*W] times their transpose, and the
-input gradient is the flipped, channel-swapped weight [C, O*9] times
-the patches of dy.
+the transposed weight gradient [C*9, O] is the patches of x times the
+transpose of dy [O, N*H*W], and the input gradient is the flipped,
+channel-swapped weight [C, O*9] times the patches of dy.
 
-The forward pass and the input gradient build and multiply the patch
-matrix in cache-sized blocks (low-memory im2col, Anderson et al. 2017;
-cache blocking, Goto & van de Geijn 2008): runs of whole images, or
-runs of whole rows of one image when an image's patches do not fit.
-A block holds at most ``max(BLOCK_BYTES, weight bytes)`` of patches:
-1 MiB keeps the patch operand in L2 for the early, wide layers, and
-the deep layers, whose weight BLAS packs again for every block, get
-blocks the size of their weight.  Each block's product goes straight
-into its columns of the [O, N*H*W] result, so the full patch matrix
-(115 MB for the second VGG16 layer) is never built.  Every column is
-still one dot product over the same C*9 terms; with OpenBLAS, blocking
-leaves the bits of every layer shape of both built-in networks as they
-were.  The weight gradient reduces over the columns, so it keeps the
-one-shot patch matrix.
+Every one of these products builds and multiplies the patch matrix in
+cache-sized blocks (low-memory im2col, Anderson et al. 2017; cache
+blocking, Goto & van de Geijn 2008): runs of whole images, or runs of
+whole rows of one image when an image's patches do not fit.  A block
+holds at most ``max(BLOCK_BYTES, weight bytes)`` of patches: 1 MiB keeps
+the patch operand in L2 for the early, wide layers, and the deep layers,
+whose weight BLAS packs again for every block, get blocks the size of
+their weight.  So neither the full patch matrix (115 MB for the second
+VGG16 layer at one image) nor a channel-major copy of all of dy is
+built.  The forward and input-gradient products write each block's
+product straight into its columns of the [O, N*H*W] result; every
+column is still one dot product over the same C*9 terms, and with
+OpenBLAS, blocking leaves the bits of every layer shape of both built-in
+networks as they were.  The weight gradient adds the products of the
+blocks and their rows of dy in block order: one product where one block
+holds the batch, with the bits of the one-shot product on the Xeon
+below, and otherwise split float sums whose bits can differ from it.
 
 A large product also uses the cores BLAS leaves idle.  ``WORKERS`` is
 the number of cores this process may use divided by the threads
@@ -68,7 +71,10 @@ round a column differently from a wider product.  Above that, every
 float32 column of a [64, 576] or [512, 4608] weight's product came out
 the same at every width from 2 to 700 columns, and split products
 equalled the one-thread ones byte for byte on the layer shapes of both
-built-in networks (batches of 1 to 64, 2 to 4 workers).
+built-in networks (batches of 1 to 64, 2 to 4 workers).  The weight
+gradient is never split, and its blocks have no share cap: its block
+list fixes the order of its float sums, so a cap that follows
+``WORKERS`` would make its bits depend on the worker count.
 
 Pooling is 2x2 max with stride 2, taken pairwise over the four strided
 phases of the input.  The routing code of a window is its argmax in
@@ -271,14 +277,6 @@ def _patches(
     return out.reshape(c * KERNEL * KERNEL, n * r * w)
 
 
-def _columns(x: np.ndarray) -> np.ndarray:
-    """Zero-padded 3x3 patches of ``x`` [N, C, H, W] as a C-contiguous
-    [C*9, N*H*W] matrix: rows ordered (c, ky, kx), columns (n, h, w)."""
-    n, c, h, w = x.shape
-    cols = np.empty(c * KERNEL * KERNEL * n * h * w, dtype=x.dtype)
-    return _patches(_pad(x), x.shape, (0, n, 0, h), cols)
-
-
 def _blocks(
     x: np.ndarray, weight_bytes: int, parts: int = 1
 ) -> list[tuple[int, int, int, int]]:
@@ -302,6 +300,18 @@ def _blocks(
     return [(i, i + 1, r, min(r + per, h)) for i in range(n) for r in range(0, h, per)]
 
 
+def _each_block(
+    xp: np.ndarray, shape: tuple[int, int, int, int], blocks: list[tuple[int, int, int, int]]
+):
+    """Yield each of ``blocks`` with its patches (see :func:`_patches`),
+    built in turn in one reused buffer."""
+    _, c, _, w = shape
+    sizes = [c * KERNEL * KERNEL * (n1 - n0) * (r1 - r0) * w for n0, n1, r0, r1 in blocks]
+    buf = np.empty(max(sizes), dtype=xp.dtype)
+    for block, size in zip(blocks, sizes):
+        yield block, _patches(xp, shape, block, buf[:size])
+
+
 def _fill(
     y: np.ndarray, weight: np.ndarray, xp: np.ndarray, shape: tuple[int, int, int, int],
     blocks: list[tuple[int, int, int, int]], bias: np.ndarray | None,
@@ -309,11 +319,8 @@ def _fill(
     """Build and multiply ``blocks`` of the :func:`_pad` layout ``xp`` in
     one buffer, writing each product, plus ``bias``, into its columns of
     ``y``."""
-    _, c, h, w = shape
-    sizes = [c * KERNEL * KERNEL * (n1 - n0) * (r1 - r0) * w for n0, n1, r0, r1 in blocks]
-    buf = np.empty(max(sizes), dtype=xp.dtype)
-    for block, size in zip(blocks, sizes):
-        cols = _patches(xp, shape, block, buf[:size])
+    _, _, h, w = shape
+    for block, cols in _each_block(xp, shape, blocks):
         start = (block[0] * h + block[2]) * w
         out = y[:, start : start + cols.shape[1]]
         np.matmul(weight, cols, out=out)
@@ -375,14 +382,30 @@ def conv2d_param_grads(
     """Parameter gradients (dw, db) of :func:`conv2d_forward`, without dx.
 
     This is all a network's first trainable layer needs: nothing reads
-    the gradient of its input.
+    the gradient of its input.  dw sums the products of the patch blocks
+    of ``x`` (:func:`_blocks`, no share cap) in block order, on the
+    calling thread.
     """
     _check_nchw(x, layer.in_channels, "conv2d_backward")
     expected = (x.shape[0], layer.out_channels, x.shape[2], x.shape[3])
     if dy.shape != expected:
         raise ShapeMismatch(f"dy shape {dy.shape}, expected {expected}")
-    dy_rows = dy.transpose(1, 0, 2, 3).reshape(layer.out_channels, -1)  # [out, N*H*W]
-    dw = (dy_rows @ _columns(x).T).reshape(layer.weight.shape)
+    o, taps = layer.out_channels, layer.weight[0].size
+    dtype = np.result_type(x, dy)
+    # BLAS makes a [C*9, O] product faster than an [O, C*9] one, with the
+    # same bits, but only a small one is worth copying into dw's layout:
+    # the copy of a deep vgg16 layer's [4608, 512] takes longer than its
+    # product (14 against 11 ms for one 14x14 image, pinned)
+    flip = taps * o * dtype.itemsize <= BLOCK_BYTES
+    acc = np.empty((taps, o) if flip else (o, taps), dtype=dtype)
+    part = np.empty_like(acc)
+    blocks = _blocks(x, layer.weight.nbytes)
+    for k, ((n0, n1, r0, r1), cols) in enumerate(_each_block(_pad(x), x.shape, blocks)):
+        rows = dy[n0:n1, :, r0:r1].transpose(1, 0, 2, 3).reshape(o, -1)  # [O, block columns]
+        np.matmul(*((cols, rows.T) if flip else (rows, cols.T)), out=part if k else acc)
+        if k:
+            acc += part
+    dw = (np.ascontiguousarray(acc.T) if flip else acc).reshape(layer.weight.shape)
     db = dy.sum(axis=(0, 2, 3))
     return dw.astype(layer.weight.dtype, copy=False), db.astype(layer.bias.dtype, copy=False)
 

@@ -12,6 +12,7 @@ from tumorkit.errors import ShapeMismatch
 from tumorkit.model import (
     FREEZE_FEATURES,
     FREEZE_NONE,
+    Model,
     apply_freeze_policy,
     build_model,
     build_vgg16,
@@ -147,6 +148,8 @@ class TestVggTinyStructure:
         ("vgg_tiny", -8, "positive multiple of 8, got -8"),
         ("vgg_tiny", 2048, "positive multiple of 8, got 2048"),
         ("resnet", 64, "architecture must be one of ('vgg16', 'vgg_tiny')"),
+        ("vgg_tiny", 64.0, "input_size must be an integer, got 64.0"),
+        ("vgg_tiny", True, "input_size must be an integer, got True"),
     ])
     def test_build_model_rejects_shapes_no_config_takes(self, arch, size, problem):
         with pytest.raises(ValueError, match=re.escape(problem)):
@@ -319,16 +322,25 @@ class TestBackward:
 
 class TestTrace:
     def test_entries_hold_only_what_backward_reads(self):
-        # a 16-image vgg_tiny@64 training step; with each ReLU's float
-        # input in place of its mask the trace would hold 4.95 MB
+        # a 16-image vgg_tiny@64 training step: 1.51 MB; with each ReLU's
+        # float input in place of its mask the trace held 4.95 MB, and with
+        # each conv's ReLU before its pool 2.20 MB
         m = init_weights(build_vgg_tiny(input_size=64), Rng(8))
         x = np.random.default_rng(171).normal(size=(16, 1, 64, 64)).astype(np.float32)
         _, trace = m.forward_logits(x, "train", Rng(9))
         relus = 0
-        for (kind, _, mask), (before, name, node_input) in zip(trace[1:], trace):
+        for i, (kind, _, mask) in enumerate(trace):
             if kind == "relu":
-                node = nn.conv2d_forward if before == "conv" else nn.dense_forward
-                want = node(node_input, m.layers[name]) > 0
+                # every vgg_tiny block pools, so each ReLU follows a dense
+                # node or a pool of a conv's output
+                pooled = trace[i - 1][0] == "maxpool"
+                before, name, node_input = trace[i - 2] if pooled else trace[i - 1]
+                assert pooled == (before == "conv")
+                node = nn.conv2d_forward if pooled else nn.dense_forward
+                want = node(node_input, m.layers[name])
+                if pooled:
+                    want = nn.maxpool2(want, routing=False)[0]
+                want = want > 0
                 assert mask.dtype == np.bool_ and mask.shape == want.shape
                 assert np.array_equal(mask, want)
                 relus += 1
@@ -338,7 +350,34 @@ class TestTrace:
             for a in (cache if isinstance(cache, tuple) else (cache,))
             if isinstance(a, np.ndarray)
         }
-        assert sum(arrays.values()) <= 2.3e6
+        assert sum(arrays.values()) <= 1.6e6
+
+
+class TestPoolBeforeRelu:
+    def test_vgg16_pools_before_the_last_relu_of_each_pooled_block(self):
+        ks = kinds(build_vgg16())
+        pools = [i for i, kind in enumerate(ks) if kind == "maxpool"]
+        assert len(pools) == 4
+        assert all(ks[i - 1] == "conv" and ks[i + 1] == "relu" for i in pools)
+        assert ks[ks.index("gap") - 2 : ks.index("gap")] == ["conv", "relu"]
+
+    def test_a_training_step_keeps_the_bytes_of_relu_then_pool(self):
+        # max and ReLU commute, and so do their gradients: a window whose
+        # max is <= 0 passes zero gradient in either order
+        m = init_weights(build_vgg_tiny(input_size=64), Rng(12))
+        specs = list(m.specs)  # the same layers, each pool after its ReLU
+        for i in [i for i, spec in enumerate(specs) if spec.kind == "maxpool"]:
+            specs[i], specs[i + 1] = specs[i + 1], specs[i]
+        old = Model(specs, m.layers, 64)
+        assert [s.kind for s in old.specs[:4]] == ["conv", "relu", "maxpool", "conv"]
+        x = np.random.default_rng(172).normal(size=(16, 1, 64, 64)).astype(np.float32)
+        targets = np.eye(2, dtype=np.float32)[np.arange(16) % 2]
+        steps = []
+        for model in (m, old):
+            logits, trace = model.forward_logits(x, "train", Rng(13))
+            grads = model.backward(trace, softmax_ce_loss(logits, targets)[1])
+            steps.append((logits.tobytes(), {k: g.tobytes() for k, g in grads.items()}))
+        assert steps[0] == steps[1]
 
 
 class TestFrozenTrunk:

@@ -205,10 +205,20 @@ class TestPatchMatrix:
         (1, 1, 1, 1), (2, 3, 1, 1), (3, 2, 1, 5), (2, 3, 4, 1), (3, 4, 5, 6), (2, 16, 17, 9),
     ])
     def test_columns_match_the_sliced_oracle(self, shape, dtype):
+        # the whole input as one block, then each image and each row of it
         x = nonfinite_borders(np.random.default_rng(66).normal(size=shape).astype(dtype))
-        cols = nn._columns(x)
-        assert cols.flags.c_contiguous
-        assert cols.tobytes() == sliced_columns(x).tobytes()
+        n, c, h, w = shape
+        xp = nn._pad(x)
+        want = sliced_columns(x).reshape(c * 9, n, h, w)
+        blocks = [(0, n, 0, h)] + [(i, i + 1, 0, h) for i in range(n)] + [
+            (i, i + 1, r, r + 1) for i in range(n) for r in range(h)
+        ]
+        for n0, n1, r0, r1 in blocks:
+            out = np.empty(c * 9 * (n1 - n0) * (r1 - r0) * w, dtype=dtype)
+            cols = nn._patches(xp, x.shape, (n0, n1, r0, r1), out)
+            assert cols.flags.c_contiguous
+            part = np.ascontiguousarray(want[:, n0:n1, r0:r1]).reshape(c * 9, -1)
+            assert cols.tobytes() == part.tobytes()
 
     @pytest.mark.parametrize("shape, dtype, block", [
         ((3, 4, 6, 7), np.float32, 4 * 9 * 7 * 4 * 2),  # row blocks: 3 per image
@@ -292,15 +302,16 @@ class TestBlockedPatchProduct:
         assert blocks == [(i, i + 1, r, r + 1) for i in range(2) for r in range(4)]
 
     def test_vgg_tiny_blocks_stay_within_the_budget(self, blocks_used):
-        # a 16-image vgg_tiny@64 training step: three forward products and
-        # the dx products of conv3 and conv2
+        # a 16-image vgg_tiny@64 training step: three forward products,
+        # then the dw and dx products of conv3 and conv2 and the dw of conv1
         m = init_weights(build_vgg_tiny(input_size=64), Rng(68))
         x = np.random.default_rng(69).normal(size=(16, 1, 64, 64)).astype(np.float32)
         targets = np.tile(np.array([[1.0, 0.0]], dtype=np.float32), (16, 1))
         logits, trace = m.forward_logits(x, "train", Rng(70))
         m.backward(trace, softmax_ce_loss(logits, targets)[1])
         assert [tuple(x.shape[1:]) for x, _, _ in blocks_used] == [
-            (1, 64, 64), (8, 32, 32), (16, 16, 16), (32, 16, 16), (16, 32, 32)
+            (1, 64, 64), (8, 32, 32), (16, 16, 16),
+            (16, 16, 16), (32, 16, 16), (8, 32, 32), (16, 32, 32), (1, 64, 64),
         ]
         for x, weight_bytes, blocks in blocks_used:
             assert weight_bytes <= nn.BLOCK_BYTES
@@ -338,6 +349,48 @@ class TestBlockedPatchProduct:
         finally:
             tracemalloc.stop()
         assert peak < 3 * (x.nbytes + y.nbytes)
+
+
+class TestBlockedWeightGradient:
+    """dw sums the products of the same patch blocks as the forward pass,
+    in block order on the calling thread, one block of dy rows at a time."""
+
+    @pytest.mark.parametrize("block_bytes, want_blocks", [
+        (2**20, [(0, 3, 0, 6)]),  # one block holds the batch
+        (2 * 9 * 6 * 5 * 8 * 2, [(0, 2, 0, 6), (2, 3, 0, 6)]),  # runs of whole images
+        (2 * 9 * 2 * 5 * 8, [(i, i + 1, r, r + 2) for i in range(3) for r in (0, 2, 4)]),
+        # dw (576 bytes) above the budget: blocks the size of the weight,
+        # one row, and dw multiplied in its own [O, C*9] layout
+        (288, [(i, i + 1, r, r + 1) for i in range(3) for r in range(6)]),
+    ])
+    def test_matches_the_nested_loops(self, monkeypatch, blocks_used, block_bytes, want_blocks):
+        monkeypatch.setattr(nn, "BLOCK_BYTES", block_bytes)
+        g = np.random.default_rng(89)
+        x = g.normal(size=(3, 2, 6, 5))
+        layer = conv_layer(4, 2, g)
+        dy = g.normal(size=(3, 4, 6, 5))
+        dw, db = conv2d_param_grads(x, layer, dy)
+        [(_, _, blocks)] = blocks_used
+        assert blocks == want_blocks
+        _, want_dw, want_db = naive_conv2d_backward(x, layer.weight, dy)
+        assert dw.shape == layer.weight.shape and dw.flags.c_contiguous
+        assert np.abs(dw - want_dw).max() < 1e-10
+        assert np.abs(db - want_db).max() < 1e-10
+
+    def test_bytes_do_not_depend_on_the_worker_count(self, monkeypatch, submitted):
+        monkeypatch.setattr(nn, "BLOCK_BYTES", 8 * 9 * 16 * 4 * 3)  # 3 rows per block
+        g = np.random.default_rng(90)
+        x = g.normal(size=(4, 8, 16, 16)).astype(np.float32)
+        layer = ConvLayer(weight=g.normal(size=(16, 8, 3, 3)).astype(np.float32),
+                          bias=np.zeros(16, dtype=np.float32))
+        dy = g.normal(size=(4, 16, 16, 16)).astype(np.float32)
+        got = []
+        for workers in (1, 2):
+            split_everything(monkeypatch, workers)
+            dw, db = conv2d_param_grads(x, layer, dy)
+            got.append((dw.tobytes(), db.tobytes()))
+        assert got[0] == got[1]
+        assert submitted == []  # dw runs on the calling thread
 
 
 def global_rows(block: tuple[int, int, int, int], h: int) -> range:

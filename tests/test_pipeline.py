@@ -136,7 +136,7 @@ class TestTrainConfig:
             TrainConfig(**overrides)
 
     @pytest.mark.parametrize("arch", ["vgg16", "vgg_tiny", "resnet"])
-    @pytest.mark.parametrize("size", [-8, 0, 7, 8, 16, 64, 65, 224, 1024, 1032, 2048, 2**40])
+    @pytest.mark.parametrize("size", [-8, 0, 7, 8, 16, 64, 65, 224, 1024, 1032, 2048, 2**40, 64.0])
     def test_config_rejects_exactly_what_the_builder_rejects(self, arch, size):
         """One rule, in tumorkit.model: the config and the library builder
         reject the same (architecture, input size) pairs, in the same words."""
