@@ -33,7 +33,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .dataset import atomic_write, reading
+from .dataset import atomic_write, reading, remove_stale_temporaries
 from .errors import (
     BadMagic,
     BadVersion,
@@ -80,7 +80,10 @@ def dump_weights(table: Mapping[str, np.ndarray]) -> bytes:
 
 def save_weights(table: Mapping[str, np.ndarray], path: str | Path) -> None:
     """Write a name -> tensor table to ``path`` atomically (see
-    :func:`~tumorkit.dataset.atomic_write`)."""
+    :func:`~tumorkit.dataset.atomic_write`), first removing what a killed
+    earlier save of ``path`` left (see
+    :func:`~tumorkit.dataset.remove_stale_temporaries`)."""
+    remove_stale_temporaries(path)
     with atomic_write(path) as handle:
         _write_weights(table, handle.write)
 

@@ -19,6 +19,7 @@ import csv
 import io
 import math
 import os
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -140,23 +141,6 @@ def stratified_split(
     )
 
 
-def _remove_stale_temporaries(path: Path) -> None:
-    """Remove each ``.<name>.<pid>.tmp`` sibling of ``path`` whose pid
-    names no live process."""
-    prefix = f".{path.name}."
-    # an unreadable directory is reported when the temporary file is opened
-    with contextlib.suppress(OSError):
-        for name in [n for n in os.listdir(path.parent) if n.startswith(prefix)]:
-            pid = name[len(prefix) : -len(".tmp")]
-            if name.endswith(".tmp") and pid.isdigit():
-                try:
-                    os.kill(int(pid), 0)  # signal 0 only asks whether the process exists
-                except (ProcessLookupError, OverflowError):
-                    (path.parent / name).unlink()
-                except PermissionError:  # it exists, as another user's process
-                    pass
-
-
 @contextlib.contextmanager
 def atomic_write(path: str | Path, mode: str = "wb", **open_args):
     """Open a temporary sibling of ``path`` for writing and move it onto
@@ -166,14 +150,10 @@ def atomic_write(path: str | Path, mode: str = "wb", **open_args):
     at ``path`` is left as it was, so a reader never sees half a file.
     An ``OSError`` from opening, writing or renaming (say, a directory
     in the way, or a full disk) raises Unwritable naming ``path``.
-
-    A writer killed mid-write leaves its ``.<name>.<pid>.tmp`` file, whose
-    name no later process reuses; so a write first removes each such
-    sibling whose pid names no live process (or a reused pid's, once
-    that process ends).
+    It touches no file it did not make, so a writer killed mid-write
+    leaves its temporary file behind (see :func:`remove_stale_temporaries`).
     """
     path = Path(path)
-    _remove_stale_temporaries(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, mode, **open_args) as handle:
@@ -185,6 +165,50 @@ def atomic_write(path: str | Path, mode: str = "wb", **open_args):
         if isinstance(exc, OSError):
             raise Unwritable(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
+
+
+# how long a temporary file must have gone unwritten before a dead pid in
+# its name is trusted (see remove_stale_temporaries)
+STALE_AFTER_S = 600
+
+
+def _is_live(pid: int) -> bool:
+    """Whether ``pid`` names a process this one can see."""
+    try:
+        os.kill(pid, 0)  # signal 0 only asks whether the process exists
+    except (ProcessLookupError, OverflowError):
+        return False
+    except PermissionError:  # it exists, as another user's process
+        pass
+    return True
+
+
+def remove_stale_temporaries(path: str | Path) -> None:
+    """Remove each ``.<name>.<pid>.tmp`` sibling of ``path`` that a killed
+    :func:`atomic_write` left: its pid names no live process and it has
+    not been written for ``STALE_AFTER_S`` seconds.
+
+    A later writer has another pid, so nothing else removes it.  A
+    writer in another PID namespace or on another host that shares the
+    directory has a pid that means nothing here, so the age is what
+    keeps its file: a live writer's file is written to until it is
+    renamed, seconds later.  Every other sibling is left alone.
+    """
+    path = Path(path)
+    try:
+        names = os.listdir(path.parent)
+    except OSError:  # an unreadable directory is reported when the target is opened
+        return
+    prefix = f".{path.name}."
+    old = time.time() - STALE_AFTER_S
+    for name in names:
+        pid = name[len(prefix) : -len(".tmp")]
+        ours = name.startswith(prefix) and name.endswith(".tmp") and pid.isdigit()
+        if ours and not _is_live(int(pid)):
+            tmp = path.parent / name
+            with contextlib.suppress(OSError):  # removed meanwhile, or not ours to remove
+                if tmp.stat().st_mtime < old:
+                    tmp.unlink()
 
 
 def write_table(path: str | Path, header: list[str], rows) -> None:

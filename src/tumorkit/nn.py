@@ -20,9 +20,9 @@ copy from a strided view, after which the two columns that read across
 a row end (w = 0 of the kx = 0 rows, w = W-1 of the kx = 2 rows) are
 zeroed; the matrix is the one nine shifted slices of a padded copy
 would give.  The forward pass is weight [O, C*9] times the patches of x,
-the transposed weight gradient [C*9, O] is the patches of x times the
-transpose of dy [O, N*H*W], and the input gradient is the flipped,
-channel-swapped weight [C, O*9] times the patches of dy.
+the weight gradient is dy [O, N*H*W] times their transpose, and the
+input gradient is the flipped, channel-swapped weight [C, O*9] times
+the patches of dy.
 
 Every one of these products builds and multiplies the patch matrix in
 cache-sized blocks (low-memory im2col, Anderson et al. 2017; cache
@@ -390,22 +390,16 @@ def conv2d_param_grads(
     expected = (x.shape[0], layer.out_channels, x.shape[2], x.shape[3])
     if dy.shape != expected:
         raise ShapeMismatch(f"dy shape {dy.shape}, expected {expected}")
-    o, taps = layer.out_channels, layer.weight[0].size
-    dtype = np.result_type(x, dy)
-    # BLAS makes a [C*9, O] product faster than an [O, C*9] one, with the
-    # same bits, but only a small one is worth copying into dw's layout:
-    # the copy of a deep vgg16 layer's [4608, 512] takes longer than its
-    # product (14 against 11 ms for one 14x14 image, pinned)
-    flip = taps * o * dtype.itemsize <= BLOCK_BYTES
-    acc = np.empty((taps, o) if flip else (o, taps), dtype=dtype)
-    part = np.empty_like(acc)
+    o = layer.out_channels
+    dw = np.empty((o, layer.weight[0].size), dtype=np.result_type(x, dy))  # [O, C*9]
+    part = np.empty_like(dw)
     blocks = _blocks(x, layer.weight.nbytes)
     for k, ((n0, n1, r0, r1), cols) in enumerate(_each_block(_pad(x), x.shape, blocks)):
         rows = dy[n0:n1, :, r0:r1].transpose(1, 0, 2, 3).reshape(o, -1)  # [O, block columns]
-        np.matmul(*((cols, rows.T) if flip else (rows, cols.T)), out=part if k else acc)
+        np.matmul(rows, cols.T, out=part if k else dw)
         if k:
-            acc += part
-    dw = (np.ascontiguousarray(acc.T) if flip else acc).reshape(layer.weight.shape)
+            dw += part
+    dw = dw.reshape(layer.weight.shape)
     db = dy.sum(axis=(0, 2, 3))
     return dw.astype(layer.weight.dtype, copy=False), db.astype(layer.bias.dtype, copy=False)
 

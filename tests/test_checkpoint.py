@@ -1,6 +1,8 @@
 """Weight file round-trips and corruption detection."""
 
+import os
 import struct
+import time
 import tracemalloc
 import zlib
 
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import sliced_read_nnck
-from tumorkit import checkpoint
+from tumorkit import checkpoint, dataset
 from tumorkit.checkpoint import (
     MAGIC,
     VERSION,
@@ -254,6 +256,24 @@ class TestAtomicSave:
         save_weights(sample_table(), path)
         assert path.read_bytes() == dump_weights(sample_table())
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_a_save_removes_only_a_killed_saves_temporary_file(self, tmp_path):
+        path = tmp_path / "best.nnck"
+        dead, dead2 = 2**22 + 1, 2**22 + 2  # above every Linux pid_max
+        old = time.time() - dataset.STALE_AFTER_S - 60
+        gone = f".best.nnck.{dead}.tmp"
+        kept = [
+            f".best.nnck.{dead2}.tmp",  # fresh: maybe a live writer on another host
+            f".best.nnck.{os.getppid()}.tmp",  # a live writer here, however old
+            f".final.nnck.{dead}.tmp",  # another target's
+            ".best.nnck.abc.tmp", "best.nnck.tmp", f"best.nnck.{dead}.tmp",
+        ]
+        for name in [gone] + kept:
+            (tmp_path / name).write_bytes(b"half")
+            if name != kept[0]:
+                os.utime(tmp_path / name, (old, old))
+        save_weights(sample_table(), path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(kept + ["best.nnck"])
 
 
 def framed(*tensors: bytes) -> bytes:

@@ -249,32 +249,11 @@ class TestManifestFiles:
                 child.kill()
         assert said == "mid-write\n"
         assert path.read_bytes() == before
-        # the killed writer's temporary file is never the output, and the
-        # next write of the same file removes it
+        # the killed writer's temporary file stays, but is never the output
         left = [p.name for p in tmp_path.iterdir() if p != path]
         assert left == [f".train.csv.{child.pid}.tmp"]
         write_manifest(fake_manifest(3, 3), path)
         assert read_manifest(path).entries == fake_manifest(3, 3).entries
-        assert [p.name for p in tmp_path.iterdir()] == ["train.csv"]
-
-    def test_a_write_removes_only_dead_writers_temporary_files(self, tmp_path):
-        path = tmp_path / "train.csv"
-        dead = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
-                              capture_output=True, text=True, check=True)
-        dead_pid = int(dead.stdout)
-        with subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"]) as live:
-            try:
-                kept = [
-                    f".train.csv.{live.pid}.tmp",  # a writer that may still be writing
-                    f".val.csv.{dead_pid}.tmp",  # another file's
-                    ".train.csv.abc.tmp", "train.csv.tmp", f"train.csv.{dead_pid}.tmp",
-                ]
-                for name in kept + [f".train.csv.{dead_pid}.tmp"]:
-                    (tmp_path / name).write_text("half")
-                write_manifest(fake_manifest(2, 2), path)
-            finally:
-                live.kill()
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(kept + ["train.csv"])
 
     def test_duplicate_paths_rejected(self):
         with pytest.raises(ValueError):

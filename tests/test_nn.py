@@ -359,8 +359,7 @@ class TestBlockedWeightGradient:
         (2**20, [(0, 3, 0, 6)]),  # one block holds the batch
         (2 * 9 * 6 * 5 * 8 * 2, [(0, 2, 0, 6), (2, 3, 0, 6)]),  # runs of whole images
         (2 * 9 * 2 * 5 * 8, [(i, i + 1, r, r + 2) for i in range(3) for r in (0, 2, 4)]),
-        # dw (576 bytes) above the budget: blocks the size of the weight,
-        # one row, and dw multiplied in its own [O, C*9] layout
+        # the weight (576 bytes) above the budget: blocks of its size, one row
         (288, [(i, i + 1, r, r + 1) for i in range(3) for r in range(6)]),
     ])
     def test_matches_the_nested_loops(self, monkeypatch, blocks_used, block_bytes, want_blocks):
