@@ -24,23 +24,29 @@ the weight gradient is dy [O, N*H*W] times their transpose, and the
 input gradient is the flipped, channel-swapped weight [C, O*9] times
 the patches of dy.
 
-Every one of these products builds and multiplies the patch matrix in
-cache-sized blocks (low-memory im2col, Anderson et al. 2017; cache
-blocking, Goto & van de Geijn 2008): runs of whole images, or runs of
-whole rows of one image when an image's patches do not fit.  A block
-holds at most ``max(BLOCK_BYTES, weight bytes)`` of patches: 1 MiB keeps
-the patch operand in L2 for the early, wide layers, and the deep layers,
-whose weight BLAS packs again for every block, get blocks the size of
-their weight.  So neither the full patch matrix (115 MB for the second
-VGG16 layer at one image) nor a channel-major copy of all of dy is
-built.  The forward and input-gradient products write each block's
-product straight into its columns of the [O, N*H*W] result; every
-column is still one dot product over the same C*9 terms, and with
-OpenBLAS, blocking leaves the bits of every layer shape of both built-in
-networks as they were.  The weight gradient adds the products of the
-blocks and their rows of dy in block order: one product where one block
-holds the batch, with the bits of the one-shot product on the Xeon
-below, and otherwise split float sums whose bits can differ from it.
+Every one of these products builds the patch matrix in cache-sized
+blocks (low-memory im2col, Anderson et al. 2017; cache blocking, Goto &
+van de Geijn 2008): runs of whole images, or runs of whole rows of one
+image when an image's patches do not fit.  A block holds at most
+``max(BLOCK_BYTES, weight bytes)`` of patches: 1 MiB keeps the patch
+operand in L2 for the early, wide layers, and the deep layers, whose
+weight BLAS packs again for every block, get blocks the size of their
+weight.  So neither the full patch matrix (115 MB for the second VGG16
+layer at one image) nor a channel-major copy of all of dy is built.  An
+image whose own product has at least ``2 * SPLIT_MACS`` multiply-adds is
+cut into two blocks or more, so that it can be split (below).
+
+The forward and input-gradient products multiply each image's columns
+of a block as a product of their own, straight from the block's buffer,
+and write it into its columns of the [O, N*H*W] result.  The cuts inside
+an image depend only on the layer and the image's size, so an image's
+products, and its conv outputs, do not depend on the batch it is in or
+on ``WORKERS``, on any BLAS kernel whose products are deterministic.
+That matters: a BLAS kernel may round a column by its place in a
+product and by the product's width, as OpenBLAS's AVX2 kernels do.  The
+weight gradient adds the products of the blocks and their rows of dy in
+block order, on the calling thread: the block list fixes the order of
+its float sums, so its bits do not depend on ``WORKERS``.
 
 A large product also uses the cores BLAS leaves idle.  ``WORKERS`` is
 the number of cores this process may use divided by the threads
@@ -53,28 +59,14 @@ importing numpy, and do not change them, or BLAS's thread count (say,
 with threadpoolctl), afterwards.  With a numpy built on another BLAS
 (MKL, Accelerate), ``WORKERS`` is 1.  A product of at least
 ``2 * SPLIT_MACS`` multiply-adds is cut into
-``min(WORKERS, multiply-adds // SPLIT_MACS)`` shares, even runs of whole
-blocks, none of which then holds more than one share of the patches:
-one share runs on the calling thread and the others on a module thread
-pool of at most ``WORKERS - 1`` threads, while numpy's copies and BLAS
-release the GIL.  Each share builds its blocks in its own buffer and
-writes their products and bias into its own columns of the result, so
-a split product holds at most one more block buffer per extra worker.
-The bits do not depend on the worker count.  Split or not, a product
-has the blocks above unless its patches fit in fewer budgets than it
-has shares; only some vgg16 products do, and the smallest block the
-one-share cap gives them holds 14.5 M multiply-adds (the first layer's
-halves).  That matters: OpenBLAS 0.3.31 on an AVX-512 Xeon sends
-products of up to 10**6 multiply-adds to a small-matrix kernel, and
-one-column products to a matrix-vector kernel, either of which can
-round a column differently from a wider product.  Above that, every
-float32 column of a [64, 576] or [512, 4608] weight's product came out
-the same at every width from 2 to 700 columns, and split products
-equalled the one-thread ones byte for byte on the layer shapes of both
-built-in networks (batches of 1 to 64, 2 to 4 workers).  The weight
-gradient is never split, and its blocks have no share cap: its block
-list fixes the order of its float sums, so a cap that follows
-``WORKERS`` would make its bits depend on the worker count.
+``min(WORKERS, blocks, multiply-adds // SPLIT_MACS)`` shares, even runs
+of its blocks: one share runs on the calling thread and the others on a
+module thread pool of at most ``WORKERS - 1`` threads, while numpy's
+copies and BLAS release the GIL.  Each share builds its blocks in its
+own buffer and writes their products and bias into its own columns of
+the result, so a split product holds at most one more block buffer per
+extra worker.  ``WORKERS`` decides only which thread multiplies which
+block, never the blocks.
 
 Pooling is 2x2 max with stride 2, taken pairwise over the four strided
 phases of the input.  The routing code of a window is its argmax in
@@ -225,6 +217,8 @@ def _check_nchw(x: np.ndarray, channels: int, op: str) -> None:
         raise ShapeMismatch(f"{op} expects [N, C, H, W], got {x.shape}")
     if x.shape[1] != channels:
         raise ShapeMismatch(f"{op} expects {channels} channels, got {x.shape[1]}")
+    if x.size == 0:
+        raise ShapeMismatch(f"{op} expects a non-empty input, got {x.shape}")
 
 
 def _pad(x: np.ndarray) -> np.ndarray:
@@ -277,22 +271,25 @@ def _patches(
     return out.reshape(c * KERNEL * KERNEL, n * r * w)
 
 
-def _blocks(
-    x: np.ndarray, weight_bytes: int, parts: int = 1
-) -> list[tuple[int, int, int, int]]:
-    """(n0, n1, r0, r1) of each patch block of ``x``, in column order.
+def _blocks(x: np.ndarray, weight: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """(n0, n1, r0, r1) of each patch block of ``x``, in column order,
+    for a product with ``weight``.
 
-    Blocks hold at most ``max(BLOCK_BYTES, weight_bytes)`` of patches: a
+    Blocks hold at most ``max(BLOCK_BYTES, weight bytes)`` of patches: a
     product's blocks are never smaller than its weight, which BLAS packs
-    again for every block.  They also hold at most one of ``parts`` even
-    shares of the patches, so a product split ``parts`` ways is that many
-    runs of whole blocks.  A block is a run of whole images if one
+    again for every block.  A block is a run of whole images if one
     image's patches fit, else a run of whole rows of one image (at least
-    one row).
+    one row).  An image whose own product has at least ``2 * SPLIT_MACS``
+    multiply-adds is cut into at least two blocks (if it has two rows),
+    so that it can be split.  The cuts inside an image depend only on the
+    layer and the image's size: the blocks of ``x[:k]`` are those of
+    ``x`` up to image k.
     """
     n, c, h, w = x.shape
     image_bytes = c * KERNEL * KERNEL * h * w * x.itemsize
-    budget = min(max(BLOCK_BYTES, weight_bytes), -(-n * image_bytes // parts))
+    budget = max(BLOCK_BYTES, weight.nbytes)
+    if weight.size * h * w >= 2 * SPLIT_MACS:
+        budget = min(budget, -(-image_bytes // 2))
     if image_bytes <= budget:
         per = max(1, budget // max(image_bytes, 1))
         return [(i, min(i + per, n), 0, h) for i in range(0, n, per)]
@@ -316,16 +313,18 @@ def _fill(
     y: np.ndarray, weight: np.ndarray, xp: np.ndarray, shape: tuple[int, int, int, int],
     blocks: list[tuple[int, int, int, int]], bias: np.ndarray | None,
 ) -> None:
-    """Build and multiply ``blocks`` of the :func:`_pad` layout ``xp`` in
-    one buffer, writing each product, plus ``bias``, into its columns of
-    ``y``."""
+    """Build ``blocks`` of the :func:`_pad` layout ``xp`` in one buffer
+    and multiply each image's columns of a block by ``weight`` as their
+    own product, writing it, plus ``bias``, into its columns of ``y``."""
     _, _, h, w = shape
-    for block, cols in _each_block(xp, shape, blocks):
-        start = (block[0] * h + block[2]) * w
-        out = y[:, start : start + cols.shape[1]]
-        np.matmul(weight, cols, out=out)
-        if bias is not None:
-            out += bias[:, None]
+    for (n0, _, r0, r1), cols in _each_block(xp, shape, blocks):
+        width = (r1 - r0) * w
+        start = (n0 * h + r0) * w
+        for k in range(0, cols.shape[1], width):
+            out = y[:, start + k : start + k + width]
+            np.matmul(weight, cols[:, k : k + width], out=out)
+            if bias is not None:
+                out += bias[:, None]
 
 
 def _patch_product(
@@ -334,23 +333,22 @@ def _patch_product(
     """``weight`` [O, C*9] times the patch matrix of ``x`` [N, C, H, W],
     plus ``bias`` per row if given, as an [O, N*H*W] array.
 
-    The patch matrix is built and multiplied one block (see
-    :func:`_blocks`) at a time in one reused buffer; each product is
-    written straight into its columns of the result, and the bias is
-    added while they are still in cache.  A product of at least
-    ``2 * SPLIT_MACS`` multiply-adds is cut into up to ``WORKERS`` shares,
-    even runs of its blocks: one runs on the calling thread and the rest
-    on the pool, each with its own buffer, and every share has finished,
-    or failed, before this returns or raises.
+    The patch matrix is built one block (see :func:`_blocks`) at a time
+    in one reused buffer, and each image's columns of a block are
+    multiplied as their own product, written straight into their columns
+    of the result, bias added while they are still in cache.  A product
+    of at least ``2 * SPLIT_MACS`` multiply-adds is cut into up to
+    ``WORKERS`` shares, even runs of its blocks: one runs on the calling
+    thread and the rest on the pool, each with its own buffer, and every
+    share has finished, or failed, before this returns or raises.
     """
     n, _, h, w = x.shape
     xp = _pad(x)
-    parts = max(1, min(WORKERS, weight.size * n * h * w // SPLIT_MACS))
-    blocks = _blocks(x, weight.nbytes, parts)
-    y = np.empty((weight.shape[0], n * h * w), dtype=np.result_type(weight, x))
+    blocks = _blocks(x, weight)
     count = len(blocks)
-    shares = [blocks[count * k // parts : count * (k + 1) // parts] for k in range(parts)]
-    first, *rest = filter(None, shares)
+    parts = max(1, min(WORKERS, count, weight.size * n * h * w // SPLIT_MACS))
+    y = np.empty((weight.shape[0], n * h * w), dtype=np.result_type(weight, x))
+    first, *rest = [blocks[count * k // parts : count * (k + 1) // parts] for k in range(parts)]
     futures = [_executor().submit(_fill, y, weight, xp, x.shape, share, bias) for share in rest]
     try:
         _fill(y, weight, xp, x.shape, first, bias)
@@ -383,7 +381,7 @@ def conv2d_param_grads(
 
     This is all a network's first trainable layer needs: nothing reads
     the gradient of its input.  dw sums the products of the patch blocks
-    of ``x`` (:func:`_blocks`, no share cap) in block order, on the
+    of ``x`` (:func:`_blocks`), one per block, in block order, on the
     calling thread.
     """
     _check_nchw(x, layer.in_channels, "conv2d_backward")
@@ -393,7 +391,7 @@ def conv2d_param_grads(
     o = layer.out_channels
     dw = np.empty((o, layer.weight[0].size), dtype=np.result_type(x, dy))  # [O, C*9]
     part = np.empty_like(dw)
-    blocks = _blocks(x, layer.weight.nbytes)
+    blocks = _blocks(x, layer.weight)
     for k, ((n0, n1, r0, r1), cols) in enumerate(_each_block(_pad(x), x.shape, blocks)):
         rows = dy[n0:n1, :, r0:r1].transpose(1, 0, 2, 3).reshape(o, -1)  # [O, block columns]
         np.matmul(rows, cols.T, out=part if k else dw)

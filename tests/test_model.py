@@ -229,6 +229,10 @@ class TestForward:
         assert np.array_equal(probs[0], probs[1])
         assert np.array_equal(probs[0], probs[2])
 
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ShapeMismatch, match="non-empty"):
+            self.make_tiny(size=64).forward(np.zeros((0, 1, 64, 64), np.float32))
+
     def test_eval_is_batch_order_equivariant(self):
         m = self.make_tiny()
         g = np.random.default_rng(153)

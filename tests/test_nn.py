@@ -3,6 +3,8 @@
 import itertools
 import math
 import os
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -18,6 +20,7 @@ from helpers import (
     naive_maxpool2,
     sliced_columns,
 )
+import tumorkit
 from tumorkit import nn
 from tumorkit.errors import BadTargets, InvalidProbability, OddSpatialDim, ShapeMismatch
 from tumorkit.nn import (
@@ -160,6 +163,15 @@ class TestConv:
         with pytest.raises(ShapeMismatch):
             conv2d_forward(np.zeros((1, 3, 4, 4)), layer)
 
+    @pytest.mark.parametrize("shape", [(0, 2, 4, 4), (1, 2, 0, 4), (2, 2, 4, 0)])
+    def test_empty_input_rejected(self, shape):
+        layer = conv_layer(3, 2, np.random.default_rng(80))
+        x, dy = np.zeros(shape), np.zeros((shape[0], 3) + shape[2:])
+        for call in (lambda: conv2d_forward(x, layer), lambda: conv2d_param_grads(x, layer, dy),
+                     lambda: conv2d_backward(x, layer, dy)):
+            with pytest.raises(ShapeMismatch, match="non-empty"):
+                call()
+
 
 def patch_bytes(x: np.ndarray, block: tuple[int, int, int, int]) -> int:
     """Bytes of the patches of one block of ``x``."""
@@ -173,12 +185,34 @@ def blocks_used(monkeypatch):
     calls = []
     blocks = nn._blocks
 
-    def spy(x, weight_bytes, *parts):
-        calls.append((x, weight_bytes, blocks(x, weight_bytes, *parts)))
+    def spy(x, weight):
+        calls.append((x, weight.nbytes, blocks(x, weight)))
         return calls[-1][2]
 
     monkeypatch.setattr(nn, "_blocks", spy)
     return calls
+
+
+def image_slices(blocks: list[tuple[int, int, int, int]], h: int, w: int):
+    """Column range (start, stop) of each image's part of each block, in
+    column order: the columns one product multiplies."""
+    for n0, n1, r0, r1 in blocks:
+        for i in range(n0, n1):
+            yield (i * h + r0) * w, (i * h + r1) * w
+
+
+def sliced_product(weight: np.ndarray, x: np.ndarray, bias=None) -> np.ndarray:
+    """The oracle of a patch product as [N, O, H, W]: ``weight`` times each
+    image's columns of each block of ``x``, one product each, over the
+    columns of the sliced builder of the test helpers."""
+    n, _, h, w = x.shape
+    cols = sliced_columns(x)
+    y = np.empty((weight.shape[0], n * h * w), dtype=np.result_type(weight, x))
+    for start, stop in image_slices(nn._blocks(x, weight), h, w):
+        y[:, start:stop] = weight @ np.ascontiguousarray(cols[:, start:stop])
+    if bias is not None:
+        y += bias[:, None]
+    return np.ascontiguousarray(y.reshape(-1, n, h, w).transpose(1, 0, 2, 3))
 
 
 def nonfinite_borders(x: np.ndarray) -> np.ndarray:
@@ -230,8 +264,8 @@ class TestPatchMatrix:
     def test_blocked_product_matches_the_sliced_oracle(
         self, monkeypatch, blocks_used, shape, dtype, block
     ):
-        # each block's product against the same product of the oracle's
-        # columns: BLAS may round a narrower product differently
+        # each image's columns of each block against the same product of
+        # the oracle's columns: BLAS may round a narrower product differently
         monkeypatch.setattr(nn, "BLOCK_BYTES", block)
         g = np.random.default_rng(67)
         x = nonfinite_borders(g.normal(size=shape).astype(dtype))
@@ -240,21 +274,21 @@ class TestPatchMatrix:
         [(_, _, blocks)] = blocks_used
         assert len(blocks) > 1
         cols = sliced_columns(x)
-        ends = np.cumsum([(n1 - n0) * (r1 - r0) * shape[3] for n0, n1, r0, r1 in blocks])
         want = np.concatenate([
-            weight @ np.ascontiguousarray(part) for part in np.split(cols, ends[:-1], axis=1)
+            weight @ np.ascontiguousarray(cols[:, start:stop])
+            for start, stop in image_slices(blocks, shape[2], shape[3])
         ], axis=1)
         assert np.isfinite(want).any() and not np.isfinite(want).all()
         np.testing.assert_array_equal(got, want)
 
 
 class TestBlockedPatchProduct:
-    """Built and multiplied block by block, the patch product gives the
-    bytes of one product over the whole patch matrix."""
+    """Built block by block, the patch product gives the bytes of one
+    product per image's columns of each block over the sliced oracle."""
 
     @staticmethod
     def check(monkeypatch, shape, dtype, out_c, block_bytes, seed):
-        """Compare the blocked forward and dx with one-shot products;
+        """Compare the blocked forward and dx with the sliced oracle;
         return the blocks of the forward input."""
         monkeypatch.setattr(nn, "BLOCK_BYTES", block_bytes)
         g = np.random.default_rng(seed)
@@ -262,19 +296,16 @@ class TestBlockedPatchProduct:
         x = g.normal(size=shape).astype(dtype)
         layer = ConvLayer(weight=g.normal(size=(out_c, c, 3, 3)).astype(dtype),
                           bias=g.normal(size=(out_c,)).astype(dtype))
-        want = layer.weight.reshape(out_c, -1) @ sliced_columns(x)
-        want += layer.bias[:, None]
-        want = want.reshape(out_c, n, h, w).transpose(1, 0, 2, 3)
-        assert conv2d_forward(x, layer).tobytes() == np.ascontiguousarray(want).tobytes()
+        weight = layer.weight.reshape(out_c, -1)
+        assert conv2d_forward(x, layer).tobytes() == sliced_product(weight, x, layer.bias).tobytes()
 
         dy = g.normal(size=(n, out_c, h, w)).astype(dtype)
         w_flip = layer.weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
-        want_dx = (w_flip @ sliced_columns(dy)).reshape(c, n, h, w).transpose(1, 0, 2, 3)
         dx, _, _ = conv2d_backward(x, layer, dy)
-        assert dx.tobytes() == np.ascontiguousarray(want_dx).tobytes()
-        assert len(nn._blocks(dy, 0)) > 1
+        assert dx.tobytes() == sliced_product(w_flip, dy).tobytes()
+        assert len(nn._blocks(dy, w_flip)) > 1
         assert layer.weight.nbytes <= block_bytes  # the budget alone sets the blocks
-        return nn._blocks(x, layer.weight.nbytes)
+        return nn._blocks(x, weight)
 
     def test_row_blocks_inside_one_image(self, monkeypatch):
         # 5 rows of 48 columns per block: 8 full blocks and one of 2 rows per image
@@ -298,7 +329,7 @@ class TestBlockedPatchProduct:
 
     def test_a_row_larger_than_a_block_is_a_block(self, monkeypatch):
         monkeypatch.setattr(nn, "BLOCK_BYTES", 1)
-        blocks = nn._blocks(np.zeros((2, 3, 4, 5), dtype=np.float32), 0)
+        blocks = nn._blocks(np.zeros((2, 3, 4, 5), dtype=np.float32), np.zeros((1, 27)))
         assert blocks == [(i, i + 1, r, r + 1) for i in range(2) for r in range(4)]
 
     def test_vgg_tiny_blocks_stay_within_the_budget(self, blocks_used):
@@ -319,9 +350,7 @@ class TestBlockedPatchProduct:
         assert any(len(blocks) > 1 for _, _, blocks in blocks_used)
 
     def test_deep_layer_blocks_are_the_size_of_the_weight(self, monkeypatch, blocks_used):
-        # 512->512@28: a 9 MiB weight, 14 MiB of patches, 504 KiB per row;
-        # on one thread, since a split product caps its blocks at one share
-        monkeypatch.setattr(nn, "WORKERS", 1)
+        # 512->512@28: a 9 MiB weight, 14 MiB of patches, 504 KiB per row
         g = np.random.default_rng(71)
         x = g.normal(size=(1, 512, 28, 28)).astype(np.float32)
         layer = ConvLayer(weight=g.normal(size=(512, 512, 3, 3)).astype(np.float32),
@@ -330,12 +359,19 @@ class TestBlockedPatchProduct:
         [(_, weight_bytes, blocks)] = blocks_used
         assert weight_bytes == layer.weight.nbytes > nn.BLOCK_BYTES
         row = patch_bytes(x, (0, 1, 0, 1))
-        # blocks are whole rows: each but the last holds the weight's bytes
-        # to within one row, and none holds more
+        # an image product of 1.85 G multiply-adds is cut in halves, each
+        # smaller than the weight, so that it can be split
+        assert blocks == [(0, 1, 0, 14), (0, 1, 14, 28)]
+        assert all(patch_bytes(x, b) <= weight_bytes for b in blocks)
+        # too small to split, it gets whole rows: each block but the last
+        # holds the weight's bytes to within one row, and none holds more
+        monkeypatch.setattr(nn, "SPLIT_MACS", 2**40)
+        blocks = nn._blocks(x, layer.weight)
         assert blocks == [(0, 1, 0, 18), (0, 1, 18, 28)]
         assert all(patch_bytes(x, b) <= weight_bytes for b in blocks)
         assert all(patch_bytes(x, b) > weight_bytes - row for b in blocks[:-1])
-        assert len(nn._blocks(x, 0)) == 14  # two rows per block on the bare budget
+        bare = nn._blocks(x, np.zeros(0, dtype=np.float32))
+        assert len(bare) == 14  # two rows per block on the bare budget
 
     def test_forward_peak_memory_stays_near_input_plus_output(self):
         g = np.random.default_rng(65)
@@ -421,7 +457,8 @@ def split_everything(monkeypatch, workers: int) -> None:
 
 class TestSplitProduct:
     """A product cut into shares that run on several threads gives the
-    bytes of the one-shot product and of the product on one thread."""
+    bytes of the product on one thread: its blocks, and so its products,
+    do not depend on the worker count."""
 
     @pytest.mark.parametrize("n, c, out_c, size, dtype", [
         # vgg16 channel counts at reduced sizes
@@ -440,22 +477,19 @@ class TestSplitProduct:
         layer = ConvLayer(weight=(g.normal(size=(out_c, c, 3, 3)) * 0.05).astype(dtype),
                           bias=g.normal(size=(out_c,)).astype(dtype))
         dy = g.normal(size=(n, out_c, size, size)).astype(dtype)
-        want = layer.weight.reshape(out_c, -1) @ sliced_columns(x)
-        want += layer.bias[:, None]
-        want = np.ascontiguousarray(want.reshape(out_c, n, size, size).transpose(1, 0, 2, 3))
+        weight = layer.weight.reshape(out_c, -1)
         w_flip = layer.weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
-        want_dx = (w_flip @ sliced_columns(dy)).reshape(c, n, size, size).transpose(1, 0, 2, 3)
-        want_dx = np.ascontiguousarray(want_dx)
+        got = []
         for workers in (1, 2, 3):
             split_everything(monkeypatch, workers)
             submitted.clear()
-            assert conv2d_forward(x, layer).tobytes() == want.tobytes()
-            assert len(submitted) == workers - 1
-            # with one input channel the dx weight is one row, which BLAS
-            # multiplies by a matrix-vector kernel that rounds by width; a
-            # network never takes the input gradient of its first layer
-            if c > 1:
-                assert conv2d_backward(x, layer, dy)[0].tobytes() == want_dx.tobytes()
+            y = conv2d_forward(x, layer)
+            assert len(submitted) == min(workers, len(nn._blocks(x, weight))) - 1
+            got.append((y.tobytes(), conv2d_backward(x, layer, dy)[0].tobytes()))
+        assert got[1] == got[0] and got[2] == got[0]
+        # and each image's columns of each block have the bytes of their own product
+        assert got[0][0] == sliced_product(weight, x, layer.bias).tobytes()
+        assert got[0][1] == sliced_product(w_flip, dy).tobytes()
 
     def test_vgg16_predicts_the_same_bytes_on_two_workers(self, monkeypatch, submitted):
         m = build_vgg16()
@@ -474,36 +508,50 @@ class TestSplitProduct:
     @pytest.mark.parametrize("shape, budget", [
         ((3, 4, 6, 7), 4 * 9 * 7 * 4 * 2),  # two-row blocks
         ((2, 16, 42, 48), 16 * 9 * 48 * 4 * 5),  # five-row blocks, a short last one
-        ((1, 512, 28, 28), 512 * 9 * 28 * 4 * 18),  # blocks of 18 and 10 rows
-        ((1, 512, 14, 14), 2**24),  # one block
+        ((1, 512, 28, 28), 512 * 9 * 28 * 4 * 18),  # blocks of 18 and 10 rows, or halves
+        ((1, 512, 14, 14), 2**24),  # one block, or halves
         ((7, 8, 24, 24), 8 * 9 * 24 * 24 * 4 * 3),  # three images per block
         ((64, 32, 14, 14), 32 * 9 * 14 * 14 * 4 * 4),  # four images per block
-        ((5, 2, 1, 1), 2 * 9 * 4 * 2),  # H = 1
+        ((5, 2, 1, 1), 2 * 9 * 4 * 2),  # H = 1: a row is never cut
+        ((5, 1, 9, 3), 2**20),  # an odd number of rows
     ])
     @pytest.mark.parametrize("parts", [2, 3, 5])
-    def test_blocks_fit_in_one_of_parts_shares(self, monkeypatch, shape, budget, parts):
+    def test_blocks_depend_only_on_the_layer_and_one_image(self, monkeypatch, shape, budget,
+                                                           parts):
         monkeypatch.setattr(nn, "BLOCK_BYTES", budget)
-        n, _, h, _ = shape
+        n, c, h, w = shape
         x = np.zeros(shape, dtype=np.float32)
-        blocks = nn._blocks(x, 0, parts)
-        # the even runs of blocks a split product hands out cover every row once
-        count = len(blocks)
-        runs = [blocks[count * k // parts : count * (k + 1) // parts] for k in range(parts)]
-        assert [r for run in runs for b in run for r in global_rows(b, h)] == list(range(n * h))
-        cap = -(-patch_bytes(x, (0, n, 0, h)) // parts)
-        for n0, n1, r0, r1 in blocks:
-            assert n1 > n0 and r1 > r0
-            assert n1 - n0 == 1 or (r0, r1) == (0, h)  # whole images or rows of one image
-            assert patch_bytes(x, (n0, n1, r0, r1)) <= min(budget, cap)
-        # one part: the blocks the budget alone gives, as full as it allows
-        image, row = patch_bytes(x, (0, 1, 0, h)), patch_bytes(x, (0, 1, 0, 1))
-        if image <= budget:
-            per = budget // image
-            want = [(i, min(i + per, n), 0, h) for i in range(0, n, per)]
-        else:
-            per = max(1, budget // row)
-            want = [(i, i + 1, r, min(r + per, h)) for i in range(n) for r in range(0, h, per)]
-        assert nn._blocks(x, 0, 1) == nn._blocks(x, 0) == want
+        weight = np.zeros((8, c * 9), dtype=np.float32)
+        budget = max(budget, weight.nbytes)
+        for split_macs in (nn.SPLIT_MACS, 1):
+            monkeypatch.setattr(nn, "SPLIT_MACS", split_macs)
+            blocks = nn._blocks(x, weight)
+            # the even runs of blocks a product split ``parts`` ways hands
+            # out cover every row once, in order
+            count = len(blocks)
+            runs = [blocks[count * k // parts : count * (k + 1) // parts] for k in range(parts)]
+            assert [r for run in runs for b in run for r in global_rows(b, h)] == list(range(n * h))
+            for n0, n1, r0, r1 in blocks:
+                assert n1 > n0 and r1 > r0
+                assert n1 - n0 == 1 or (r0, r1) == (0, h)  # whole images or rows of one image
+                assert patch_bytes(x, (n0, n1, r0, r1)) <= budget
+            # the blocks of the first k images are those of the batch, cut at image k
+            for k in range(1, n):
+                want = [(n0, min(n1, k), r0, r1) for n0, n1, r0, r1 in blocks if n0 < k]
+                assert nn._blocks(x[:k], weight) == want
+            image, row = patch_bytes(x, (0, 1, 0, h)), patch_bytes(x, (0, 1, 0, 1))
+            if weight.size * h * w >= 2 * split_macs:
+                # an image whose own product can split is two blocks or more, if it has two rows
+                assert all(sum(b[0] == i for b in blocks) >= min(2, h) for i in range(n))
+                continue
+            # otherwise the blocks the budget alone gives, as full as it allows
+            if image <= budget:
+                per = budget // image
+                want = [(i, min(i + per, n), 0, h) for i in range(0, n, per)]
+            else:
+                per = max(1, budget // row)
+                want = [(i, i + 1, r, min(r + per, h)) for i in range(n) for r in range(0, h, per)]
+            assert blocks == want
 
     def test_small_products_stay_on_the_calling_thread(self, monkeypatch, submitted):
         monkeypatch.setattr(nn, "WORKERS", 2)
@@ -580,6 +628,58 @@ class TestSplitProduct:
         with pytest.raises(RuntimeError, match=f"{failing} share"):
             nn._patch_product(g.normal(size=(16, 72)), g.normal(size=(1, 8, 16, 16)))
         assert built == [(0, 1, 8, 16) if failing == "caller" else (0, 1, 0, 8)]
+
+
+def dynamic_openblas_on_avx2() -> bool:
+    """Whether numpy's OpenBLAS picks its kernels at run time (so that
+    ``OPENBLAS_CORETYPE`` can choose them) on a CPU that has AVX2."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        with open("/proc/cpuinfo") as cpuinfo:
+            flags = cpuinfo.read().split()
+    except (TypeError, KeyError, OSError):  # an older numpy, no BLAS listed, not Linux
+        return False
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "") and "avx2" in flags
+
+
+# Run with OpenBLAS's AVX2 kernels, which round a column by its place in
+# a product and the product's width; prints whether each image's GAP row
+# of a batch is its one-image row, and whether a split forward keeps the
+# one-thread bytes.
+HASWELL_CHECK = """
+import numpy as np
+from tumorkit import nn
+from tumorkit.model import build_vgg_tiny, init_weights
+from tumorkit.rng import Rng
+
+m = init_weights(build_vgg_tiny(input_size=64), Rng(96))
+specs = m.specs[: [spec.kind for spec in m.specs].index("gap") + 1]
+x = np.random.default_rng(97).normal(size=(16, 1, 64, 64)).astype(np.float32)
+rows = m._run(x, specs, "eval", None)
+print(all(rows[i].tobytes() == m._run(x[i : i + 1], specs, "eval", None).tobytes()
+          for i in range(16)))
+# vgg16's first layer, one image, on one worker and on two
+g = np.random.default_rng(98)
+x = g.normal(size=(1, 1, 224, 224)).astype(np.float32)
+layer = nn.ConvLayer(weight=g.normal(size=(64, 1, 3, 3)).astype(np.float32),
+                     bias=g.normal(size=64).astype(np.float32))
+got = []
+for workers in (1, 2):
+    nn.WORKERS = workers
+    got.append(nn.conv2d_forward(x, layer).tobytes())
+print(got[0] == got[1])
+"""
+
+
+@pytest.mark.skipif(not dynamic_openblas_on_avx2(),
+                    reason="needs a DYNAMIC_ARCH OpenBLAS on an AVX2 CPU")
+def test_rows_and_split_bytes_hold_on_the_avx2_kernels():
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.path.dirname(os.path.dirname(tumorkit.__file__))}
+    done = subprocess.run([sys.executable, "-c", HASWELL_CHECK], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True", "True"]
 
 
 class TestMaxPool:
