@@ -1,10 +1,14 @@
 """From-scratch differentiable layer kernels and the Adam update.
 
-Tensors are plain numpy arrays in [N, C, H, W] (or [N, features]) layout,
-float32 for training and float64 when checking gradients.  Every kernel
-is a pure function of its inputs: forward passes return outputs (plus
-whatever the backward pass needs), backward passes take the forward
-inputs and the output cotangent and return exact gradients.
+Tensors are numpy arrays indexed [N, C, H, W] (or [N, features]),
+float32 for training and float64 when checking gradients.  A conv's
+output and dx, and a max-pool's dx, are channel-major in memory: views
+of C-contiguous [C, N, H, W] buffers, which the next conv reads without
+a copy to NCHW and back; max-pool and ReLU keep their input's order.
+Every kernel is a pure function of its inputs' values, whatever their
+memory order: forward passes return outputs (plus whatever the
+backward pass needs), backward passes take the forward inputs and the
+output cotangent and return exact gradients.
 
 Convolution is cross-correlation (no kernel flip) with a fixed 3x3
 kernel, stride 1, and zero padding 1, so spatial size is preserved.
@@ -126,10 +130,7 @@ def _blas() -> str:
 
 def _workers() -> int:
     """Threads a product may run on: the cores this process may use that
-    BLAS leaves idle.  BLAS threads are what OpenBLAS reads when it loads,
-    ``OPENBLAS_NUM_THREADS``, then ``OMP_NUM_THREADS``, else one per
-    core, so with BLAS unpinned this is 1.  With any other BLAS, whose
-    threads these variables need not set, it is 1 as well."""
+    BLAS leaves idle (see the module docstring)."""
     if "openblas" not in _blas().lower():
         return 1
     try:
@@ -257,12 +258,11 @@ def _patches(
     n0, n1, r0, r1 = block
     n, r = n1 - n0, r1 - r0
     item = xp.itemsize
-    window = np.lib.stride_tricks.as_strided(
-        xp[:, (n0 * (h + 2) + r0) * w :],
-        shape=(c, KERNEL, KERNEL, n, r * w),
-        strides=(xp.strides[0], w * item, item, (h + 2) * w * item, item),
-        writeable=False,
+    window = np.ndarray(
+        (c, KERNEL, KERNEL, n, r * w), xp.dtype, xp, (n0 * (h + 2) + r0) * w * item,
+        (xp.strides[0], w * item, item, (h + 2) * w * item, item),
     )
+    window.flags.writeable = False
     cols = out.reshape(c, KERNEL, KERNEL, n, r * w)
     np.copyto(cols, window)
     edges = out.reshape(c, KERNEL, KERNEL, n * r, w)
@@ -331,15 +331,10 @@ def _patch_product(
     weight: np.ndarray, x: np.ndarray, bias: np.ndarray | None = None
 ) -> np.ndarray:
     """``weight`` [O, C*9] times the patch matrix of ``x`` [N, C, H, W],
-    plus ``bias`` per row if given, as an [O, N*H*W] array.
-
-    The patch matrix is built one block (see :func:`_blocks`) at a time
-    in one reused buffer, and each image's columns of a block are
-    multiplied as their own product, written straight into their columns
-    of the result, bias added while they are still in cache.  A product
-    of at least ``2 * SPLIT_MACS`` multiply-adds is cut into up to
-    ``WORKERS`` shares, even runs of its blocks: one runs on the calling
-    thread and the rest on the pool, each with its own buffer, and every
+    plus ``bias`` per row if given, as an [O, N*H*W] array built block by
+    block (see :func:`_fill`).  A product of at least ``2 * SPLIT_MACS``
+    multiply-adds is cut into up to ``WORKERS`` shares, even runs of its
+    blocks, one on the calling thread and the rest on the pool; every
     share has finished, or failed, before this returns or raises.
     """
     n, _, h, w = x.shape
@@ -361,9 +356,9 @@ def _patch_product(
 
 
 def _to_nchw(y: np.ndarray, n: int, h: int, w: int, dtype) -> np.ndarray:
-    """[C, N*H*W] kernel output back to a contiguous [N, C, H, W] array."""
-    y = y.reshape(-1, n, h, w).transpose(1, 0, 2, 3)
-    return np.ascontiguousarray(y).astype(dtype, copy=False)
+    """[C, N*H*W] kernel output, uncopied, indexed [N, C, H, W] and
+    channel-major in memory (its transpose (1, 0, 2, 3) is C-contiguous)."""
+    return y.reshape(-1, n, h, w).transpose(1, 0, 2, 3).astype(dtype, copy=False)
 
 
 def conv2d_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
@@ -398,7 +393,8 @@ def conv2d_param_grads(
         if k:
             dw += part
     dw = dw.reshape(layer.weight.shape)
-    db = dy.sum(axis=(0, 2, 3))
+    # each (n, c), then over n in C order: the same sums whatever dy's memory order
+    db = np.ascontiguousarray(dy.sum(axis=(2, 3))).sum(axis=0)
     return dw.astype(layer.weight.dtype, copy=False), db.astype(layer.bias.dtype, copy=False)
 
 
@@ -448,7 +444,7 @@ def maxpool2_backward(routing: np.ndarray, dy: np.ndarray) -> np.ndarray:
     if dy.shape != routing.shape:
         raise ShapeMismatch(f"dy shape {dy.shape} vs routing {routing.shape}")
     n, c, h2, w2 = dy.shape
-    dx = np.empty((n, c, h2, 2, w2, 2), dtype=dy.dtype)
+    dx = np.empty((c, n, h2, 2, w2, 2), dtype=dy.dtype).transpose(1, 0, 2, 3, 4, 5)
     for k in range(4):
         np.multiply(dy, routing == k, out=dx[:, :, :, k // 2, :, k % 2])
     return dx.reshape(n, c, h2 * 2, w2 * 2)
@@ -458,7 +454,7 @@ def global_avg_pool(x: np.ndarray) -> np.ndarray:
     """Per-channel spatial mean: [N, C, H, W] -> [N, C]."""
     if x.ndim != 4:
         raise ShapeMismatch(f"global_avg_pool expects [N, C, H, W], got {x.shape}")
-    return x.mean(axis=(2, 3))
+    return np.ascontiguousarray(x.mean(axis=(2, 3)))  # C-contiguous for the dense product
 
 
 def gap_backward(dy: np.ndarray, h: int, w: int) -> np.ndarray:

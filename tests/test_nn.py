@@ -173,6 +173,72 @@ class TestConv:
                 call()
 
 
+def channel_major(a: np.ndarray) -> np.ndarray:
+    """``a`` [N, C, H, W] with the same values, laid out [C, N, H, W] in memory."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+
+
+class TestMemoryOrder:
+    """Activations and gradients are indexed [N, C, H, W] but held
+    channel-major; a kernel's bits depend on its inputs' values, never on
+    their memory order."""
+
+    @staticmethod
+    def outputs(layer, x, dy, routing, pool_dy):
+        """Every array of every kernel, by kernel name."""
+        return {
+            "conv2d_forward": (conv2d_forward(x, layer),),
+            "conv2d_param_grads": conv2d_param_grads(x, layer, dy),
+            "conv2d_backward": conv2d_backward(x, layer, dy),
+            "maxpool2": maxpool2(dy),
+            "maxpool2_backward": (maxpool2_backward(routing, pool_dy),),
+            "relu": (relu(dy),),
+            "relu_backward": (relu_backward(dy, dy), relu_backward(dy > 0, dy)),
+            "global_avg_pool": (global_avg_pool(dy),),
+        }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n, c, out_c, side, block_bytes", [
+        (16, 1, 8, 64, nn.BLOCK_BYTES),  # the three vgg_tiny@64 convolutions at N=16
+        (16, 8, 16, 32, nn.BLOCK_BYTES),
+        (16, 16, 32, 16, nn.BLOCK_BYTES),
+        (3, 4, 6, 12, 4096),  # blocks of one or two rows of one image
+    ])
+    def test_bits_do_not_depend_on_memory_order(self, monkeypatch, dtype, n, c, out_c, side,
+                                                block_bytes):
+        monkeypatch.setattr(nn, "BLOCK_BYTES", block_bytes)
+        g = np.random.default_rng(side + c)
+        layer = ConvLayer(weight=g.normal(size=(out_c, c, 3, 3)).astype(dtype),
+                          bias=g.normal(size=out_c).astype(dtype))
+        x = g.normal(size=(n, c, side, side)).astype(dtype)
+        dy = g.normal(size=(n, out_c, side, side)).astype(dtype)
+        _, routing = maxpool2(dy)
+        pool_dy = g.normal(size=routing.shape).astype(dtype)
+        if block_bytes < nn.BLOCK_BYTES:
+            assert nn._blocks(x, layer.weight)[0][3] < side
+        want = self.outputs(layer, x, dy, routing, pool_dy)
+        got = self.outputs(layer, *(channel_major(a) for a in (x, dy, routing, pool_dy)))
+        for name, arrays in want.items():
+            for a, b in zip(arrays, got[name]):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("n", [2, 16])
+    def test_outputs_stay_channel_major(self, n):
+        """Conv outputs and their dx, pool outputs and their dx, and ReLU
+        outputs are views of channel-major buffers: no kernel copies an
+        activation or gradient to NCHW between convolutions."""
+        g = np.random.default_rng(89)
+        x = g.normal(size=(n, 3, 8, 8)).astype(np.float32)
+        layer = ConvLayer(weight=g.normal(size=(4, 3, 3, 3)).astype(np.float32),
+                          bias=g.normal(size=4).astype(np.float32))
+        y = conv2d_forward(x, layer)
+        pooled, routing = maxpool2(y)
+        dx, _, _ = conv2d_backward(x, layer, y)
+        for out in (y, pooled, relu(pooled), dx, maxpool2_backward(routing, pooled)):
+            assert out.transpose(1, 0, 2, 3).flags.c_contiguous
+        assert global_avg_pool(y).flags.c_contiguous
+
+
 def patch_bytes(x: np.ndarray, block: tuple[int, int, int, int]) -> int:
     """Bytes of the patches of one block of ``x``."""
     n0, n1, r0, r1 = block
