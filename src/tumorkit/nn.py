@@ -52,23 +52,19 @@ weight gradient adds the products of the blocks and their rows of dy in
 block order, on the calling thread: the block list fixes the order of
 its float sums, so its bits do not depend on ``WORKERS``.
 
-A large product also uses the cores BLAS leaves idle.  ``WORKERS`` is
-the number of cores this process may use divided by the threads
-OpenBLAS starts with (``OPENBLAS_NUM_THREADS``, then
-``OMP_NUM_THREADS``, else one per core), so with BLAS unpinned it is 1
-and every product runs as above, on the calling thread.  OpenBLAS reads
-these variables once, when numpy is imported, and ``WORKERS`` is worked
-out from them once, when this module is imported: set them before
-importing numpy, and do not change them, or BLAS's thread count (say,
-with threadpoolctl), afterwards.  With a numpy built on another BLAS
-(MKL, Accelerate), ``WORKERS`` is 1.  A product of at least
-``2 * SPLIT_MACS`` multiply-adds is cut into
+A large product also uses the other cores.  The entry points call
+:func:`own_cores`, which sets numpy's OpenBLAS to one thread, whatever
+the environment says, and ``WORKERS`` to the cores this process may
+use.  Before that (importing sets nothing), ``WORKERS`` is those cores
+divided by the threads OpenBLAS reports; under another BLAS it is 1,
+and nothing is set.  A product of at least ``2 * SPLIT_MACS``
+multiply-adds is cut into
 ``min(WORKERS, blocks, multiply-adds // SPLIT_MACS)`` shares, even runs
-of its blocks: one share runs on the calling thread and the others on a
-module thread pool of at most ``WORKERS - 1`` threads, while numpy's
-copies and BLAS release the GIL.  Each share builds its blocks in its
-own buffer and writes their products and bias into its own columns of
-the result, so a split product holds at most one more block buffer per
+of its blocks: one runs on the calling thread and the others on a
+module pool of at most ``WORKERS - 1`` threads, while numpy's copies
+and BLAS release the GIL.  Each share builds its blocks in its own
+buffer and writes their products and bias into its own columns of the
+result, so a split product holds at most one more block buffer per
 extra worker.  ``WORKERS`` decides only which thread multiplies which
 block, never the blocks.
 
@@ -84,6 +80,7 @@ identity).
 
 from __future__ import annotations
 
+import ctypes
 import os
 import threading
 from dataclasses import dataclass, field
@@ -119,36 +116,37 @@ BLOCK_BYTES = 2**20
 SPLIT_MACS = 12 * 2**20
 
 
-def _blas() -> str:
-    """Name of the BLAS numpy was built against, or "" if numpy does not
-    say."""
+def _openblas():
+    """The OpenBLAS numpy loaded, as a lookup of its functions by bare name
+    (numpy 2's wheels name them ``scipy_openblas_*64_``), or None."""
     try:
-        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-    except (TypeError, KeyError):  # numpy < 1.26, or a build that lists no BLAS
-        return ""
+        with open("/proc/self/maps") as maps:
+            paths = [line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line]
+    except OSError:  # not Linux
+        return None
+    for lib in map(ctypes.CDLL, paths):
+        for name in ("scipy_openblas_{}64_", "openblas_{}64_", "openblas_{}"):
+            if hasattr(lib, name.format("get_num_threads")):
+                return lambda function: getattr(lib, name.format(function))
+    return None
 
 
 def _workers() -> int:
-    """Threads a product may run on: the cores this process may use that
-    BLAS leaves idle (see the module docstring)."""
-    if "openblas" not in _blas().lower():
+    """The cores this process may use that BLAS leaves idle; 1 without OpenBLAS."""
+    if _BLAS is None:
         return 1
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # not on Linux
-        cores = os.cpu_count() or 1
-    blas = cores
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            threads = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if threads > 0:
-            blas = min(threads, cores)
-            break
-    return max(1, cores // blas)
+    return max(1, len(os.sched_getaffinity(0)) // _BLAS("get_num_threads")())
 
 
+def own_cores() -> None:
+    """Run BLAS on one thread and split products over every core this process may use."""
+    global WORKERS
+    if _BLAS is not None:
+        _BLAS("set_num_threads")(1)
+        WORKERS = _workers()
+
+
+_BLAS = _openblas()
 WORKERS = _workers()
 _pool = None
 _pool_lock = threading.Lock()

@@ -40,7 +40,7 @@ from .metrics import CLASSES, MetricsReport, ScoredSample, evaluate_scores, labe
 from .model import (
     FREEZE_POLICIES, Model, apply_freeze_policy, build_model, check_shape, init_weights
 )
-from .nn import AdamState, adam_step, softmax_ce_loss
+from .nn import AdamState, adam_step, own_cores, softmax_ce_loss
 from .pgm import GrayImage8, image_to_tensor, read_pgm
 from .preprocess import crop_and_resize, normalize_zscore
 from .report import EpochStats
@@ -150,6 +150,7 @@ def run_training(
     """Train per the config; write best/final checkpoints and history."""
     if not train_manifest.entries:
         raise BadConfig("the train manifest lists no images")
+    own_cores()
     out = Path(out_dir)
     ckpt_dir = out / "checkpoints"
     make_dir(ckpt_dir)
@@ -246,6 +247,7 @@ def _yes_scores(
     The checkpoint is loaded before any image is read, and
     ``Model.forward`` runs on ``cfg.batch_size`` images at a time.
     """
+    own_cores()
     model = load_model(cfg.architecture, cfg.input_size, checkpoint_path)
     images = [load_one_image(path, cfg) for path in paths]
     scores: list[float] = []

@@ -632,37 +632,26 @@ class TestSplitProduct:
         conv2d_forward(x, layer)
         assert len(submitted) == 1
 
-    @pytest.mark.parametrize("env, blas", [
-        ({}, "cores"),
-        ({"OPENBLAS_NUM_THREADS": "1"}, 1),
-        ({"OMP_NUM_THREADS": "1"}, 1),
-        ({"OPENBLAS_NUM_THREADS": "cores", "OMP_NUM_THREADS": "1"}, "cores"),
-        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 1),
-        ({"OPENBLAS_NUM_THREADS": "two", "OMP_NUM_THREADS": "1"}, 1),
-        ({"OPENBLAS_NUM_THREADS": "1000"}, "cores"),
-    ])
-    def test_workers_are_the_cores_blas_leaves_idle(self, monkeypatch, submitted, env, blas):
+    @pytest.mark.parametrize("threads", [1, 2, "cores"])
+    def test_workers_are_the_cores_blas_leaves_idle(self, monkeypatch, submitted, threads):
         cores = len(os.sched_getaffinity(0))
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)
-        for var, value in env.items():
-            monkeypatch.setenv(var, str(cores) if value == "cores" else value)
+        threads = cores if threads == "cores" else threads
+        monkeypatch.setattr(nn, "_BLAS", {"get_num_threads": lambda: threads}.get)
         workers = nn._workers()
-        assert workers == cores // (cores if blas == "cores" else blas)
-        if blas == "cores":  # BLAS has every core: nothing is split
+        assert workers == max(1, cores // threads)
+        if threads == cores:  # BLAS has every core: nothing is split
             monkeypatch.setattr(nn, "WORKERS", workers)
             g = np.random.default_rng(93)
             conv2d_forward(g.normal(size=(1, 64, 112, 112)).astype(np.float32),
                            conv_layer(64, 64, g))
             assert submitted == []
 
-    @pytest.mark.parametrize("blas", ["mkl", "accelerate", ""])
-    def test_other_blas_libraries_get_one_worker(self, monkeypatch, blas):
-        # these variables need not set the threads of any other BLAS
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        monkeypatch.setenv("OMP_NUM_THREADS", "1")
-        monkeypatch.setattr(nn, "_blas", lambda: blas)
+    def test_without_openblas_there_is_one_worker_and_nothing_is_set(self, monkeypatch):
+        monkeypatch.setattr(nn, "_BLAS", None)
         assert nn._workers() == 1
+        monkeypatch.setattr(nn, "WORKERS", 3)
+        nn.own_cores()
+        assert nn.WORKERS == 3
 
     def test_no_more_than_workers_minus_one_threads_start(self, monkeypatch):
         monkeypatch.setattr(nn, "WORKERS", 2)
@@ -737,15 +726,87 @@ print(got[0] == got[1])
 """
 
 
+def run_script(script: str, *args: str, **env: str) -> list[str]:
+    """Run ``script`` in a new interpreter that imports the package and
+    the test helpers, with ``env`` added to this process's environment;
+    return the words it prints."""
+    path = os.pathsep.join([os.path.dirname(os.path.dirname(tumorkit.__file__)),
+                            os.path.dirname(__file__)])
+    done = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True,
+                          env={**os.environ, **env, "PYTHONPATH": path}, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
 @pytest.mark.skipif(not dynamic_openblas_on_avx2(),
                     reason="needs a DYNAMIC_ARCH OpenBLAS on an AVX2 CPU")
 def test_rows_and_split_bytes_hold_on_the_avx2_kernels():
-    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.path.dirname(os.path.dirname(tumorkit.__file__))}
-    done = subprocess.run([sys.executable, "-c", HASWELL_CHECK], env=env, capture_output=True,
-                          text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["True", "True"]
+    got = run_script(HASWELL_CHECK, OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="1")
+    assert got == ["True", "True"]
+
+
+# Trains vgg_tiny@64 for one short epoch and prints the digest of its
+# final checkpoint.
+TRAINED_DIGEST = """
+import hashlib, sys
+from pathlib import Path
+from synth import write_blob_dataset
+from tumorkit.dataset import SplitConfig, stratified_split
+from tumorkit.train import TrainConfig, run_training
+
+root = Path(sys.argv[1])
+manifest = write_blob_dataset(root / "data", 12, 12, 5)
+train_m, val_m, _ = stratified_split(manifest, SplitConfig(seed=5))
+cfg = TrainConfig(architecture="vgg_tiny", input_size=64, epochs=1, batch_size=4, seed=5)
+print(hashlib.sha256(run_training(cfg, train_m, val_m, root).final_path.read_bytes()).hexdigest())
+"""
+
+
+@pytest.mark.skipif(not dynamic_openblas_on_avx2() or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs a DYNAMIC_ARCH OpenBLAS on an AVX2 CPU with 2 or more cores")
+def test_blas_threads_do_not_change_trained_bytes_on_the_avx2_kernels(tmp_path):
+    # the AVX2 kernels round a product by its thread count; training runs
+    # BLAS on one thread whatever the environment says
+    digests = [run_script(TRAINED_DIGEST, str(tmp_path / threads), OPENBLAS_CORETYPE="Haswell",
+                          OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+               for threads in ("1", "2")]
+    assert digests[0] == digests[1]
+
+
+# Prints the BLAS thread count and WORKERS after importing the package
+# and building a model, then after one entry point.
+ENTRY_THREADS = """
+import sys
+from pathlib import Path
+from synth import write_blob_dataset
+from tumorkit import nn
+from tumorkit.checkpoint import save_checkpoint
+from tumorkit.dataset import DatasetManifest
+from tumorkit.model import build_model
+from tumorkit.train import TrainConfig, predict_single, run_training
+
+model = build_model("vgg_tiny", 32)
+print(nn._BLAS("get_num_threads")(), nn.WORKERS)
+root = Path(sys.argv[2])
+manifest = write_blob_dataset(root, 2, 2, 5)
+cfg = TrainConfig(architecture="vgg_tiny", input_size=32, epochs=1, batch_size=4)
+if sys.argv[1] == "run_training":
+    run_training(cfg, manifest, DatasetManifest([]), root / "run")
+else:
+    save_checkpoint(model, root / "model.nnck")
+    predict_single(root / "model.nnck", manifest.entries[0].path, cfg)
+print(nn._BLAS("get_num_threads")(), nn.WORKERS)
+"""
+
+
+@pytest.mark.skipif(nn._BLAS is None, reason="numpy does not run on OpenBLAS")
+@pytest.mark.parametrize("entry", ["run_training", "predict_single"])
+def test_importing_sets_nothing_and_an_entry_point_owns_the_cores(tmp_path, entry):
+    cores = len(os.sched_getaffinity(0))
+    threads = min(2, cores)
+    got = run_script(ENTRY_THREADS, entry, str(tmp_path), OPENBLAS_NUM_THREADS="2",
+                     OMP_NUM_THREADS="2")
+    assert got == [str(threads), str(cores // threads), "1", str(cores)]
 
 
 class TestMaxPool:
