@@ -646,8 +646,18 @@ class TestSplitProduct:
                            conv_layer(64, 64, g))
             assert submitted == []
 
-    def test_without_openblas_there_is_one_worker_and_nothing_is_set(self, monkeypatch):
-        monkeypatch.setattr(nn, "_BLAS", None)
+    @pytest.mark.parametrize("blas", ["mkl", "accelerate", ""])
+    def test_other_blas_libraries_get_one_worker(self, monkeypatch, tmp_path, blas):
+        # a process that maps no OpenBLAS gets no handle, one worker, and
+        # nothing set; these variables need not set the threads of any other BLAS
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        maps = tmp_path / "maps"
+        maps.write_text("7f00 r-xp 00000000 08:01 1 /usr/lib/libc.so.6\n"
+                        + (f"7f10 r-xp 00000000 08:01 2 /usr/lib/lib{blas}.so\n" if blas else ""))
+        monkeypatch.setattr(nn, "open", lambda path: open(maps), raising=False)
+        monkeypatch.setattr(nn, "_BLAS", nn._openblas())
+        assert nn._BLAS is None
         assert nn._workers() == 1
         monkeypatch.setattr(nn, "WORKERS", 3)
         nn.own_cores()
